@@ -3,7 +3,7 @@ REV     := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH   ?= .
 BENCHTIME ?= 1x
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs race vet fmt-check bench benchcmp serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs race vet fmt-check bench benchcmp serve-stats stream-e2e retrain-e2e admission-e2e cluster-e2e ci
 
 all: build
 
@@ -38,7 +38,7 @@ test-allocs:
 	$(GO) test -run TestAllocs -count=1 ./...
 
 # race runs the concurrency-heavy packages (batched assessment, request
-# coalescing, the dispatched kernels and their tree consumers) under the
+# admission, the dispatched kernels and their tree consumers) under the
 # race detector, then the same set again with SIMD forced off so both
 # dispatch arms get race coverage.
 race:
@@ -94,17 +94,17 @@ retrain-e2e:
 	$(GO) test -race -count=1 \
 		-run 'TestRetrainControllerClosedLoop|TestVerdictTapMatchesResponses|TestStatsClosedLoopCounters' ./pkg/serve/
 
-# replica-e2e is the replication + admission-control smoke: sustained
-# bursty load against a 3-replica group, hot-swapping the whole group
-# mid-run, asserting zero lost requests, spilled responses element-wise
-# identical to home-replica responses, and sibling replicas carrying a
-# real share of a single-device burst — under the race detector, since
-# spill-vs-swap is exactly where races would hide.
-replica-e2e:
-	$(GO) test -race -count=1 -v -run 'TestReplicaE2E' ./cmd/trusthmdd/
+# admission-e2e is the admission-control smoke: hot swaps of one shard
+# under sustained load with zero lost requests and element-wise identical
+# verdicts, sheds at the in-flight cap with 503 + Retry-After on both
+# assessment endpoints (an idle shard still admitting one oversized
+# batch), and Swap/Unload/Close racing in-flight requests with every 200
+# carrying the verdict of the version it reports — under the race
+# detector, since lifecycle-vs-request is exactly where races would hide.
+admission-e2e:
+	$(GO) test -race -count=1 -v -run 'TestAdmissionE2E' ./cmd/trusthmdd/
 	$(GO) test -race -count=1 \
-		-run 'TestReplicaSpillUnderLoad|TestReplicaGroupSwapUnderLoadLossless|TestReplicaGroupShape|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestStatsReplicaFields|TestCoalescerShedDepth|TestCoalescerEarlyFlush' ./pkg/serve/
-	$(GO) test -race -count=1 -run 'TestClosedLoopReplicas' ./cmd/hmdbench/
+		-run 'TestInflightCapSheds|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestStatsInflightField|TestLifecycleRacesInflightRequests|TestSwapUnderLoadIsLossless|TestReplicaGroupSwapUnderLoadLossless|TestAssessCoalescedMatchesSequential' ./pkg/serve/
 
 # cluster-e2e is the fleet smoke: boot a three-node cluster over loopback
 # HTTP, drive bursty load through every entry point while a fleet-wide

@@ -5,7 +5,7 @@
 //
 //	hmdbench [-exp all|T1|F4|F5|F7a|F7b|F8|F9a|F9b|H|A1|A2|A3]
 //	         [-scale 1.0] [-seed 1] [-m 25] [-tsne-csv dir]
-//	hmdbench -loop 2000 [-replicas 4] [-pin-cores]
+//	hmdbench -loop 2000
 //	hmdbench -loop 2000 -target http://n1:8080 -target http://n2:8080
 //
 // Either mode accepts -cpuprofile/-memprofile to dump pprof profiles of
@@ -16,12 +16,11 @@
 // qualitative runs.
 //
 // -loop N runs the closed-loop serving load harness instead of the
-// experiments: train a tiny detector, build a verdict-tapped fleet
-// (-replicas controls the group size), drive N windows per scenario
-// (uniform devices, then a bursty single device) through the full
-// concurrent serving path, and report throughput with p50/p99/p999
-// latency, heap allocs per window, and the replica spill share per
-// scenario, plus verdict-store occupancy. A shed window (queue full) is
+// experiments: train a tiny detector, build a verdict-tapped fleet, drive
+// N windows per scenario (uniform devices, then a bursty single device)
+// through the full concurrent serving path, and report throughput with
+// p50/p99/p999 latency and heap allocs per window per scenario, plus
+// verdict-store occupancy. A shed window (in-flight cap reached) is
 // retried with bounded backoff, and the per-scenario retry count is
 // reported — zero under healthy sizing.
 //
@@ -63,16 +62,14 @@ import (
 
 func main() {
 	var (
-		which    = flag.String("exp", "all", "experiment id (T1,F4,F5,F7a,F7b,F8,F9a,F9b,H,A1,A2,A3,A4,A5,E1,E2) or 'all'")
-		scale    = flag.Float64("scale", 1.0, "fraction of the paper's Table I split sizes")
-		seed     = flag.Int64("seed", 1, "random seed")
-		m        = flag.Int("m", 25, "ensemble size")
-		tsneCSV  = flag.String("tsne-csv", "", "directory to dump Fig. 8 embedding coordinates as CSV")
-		loopN    = flag.Int("loop", 0, "closed-loop load harness: assess N windows per scenario through a verdict-tapped fleet and report throughput + p50/p99/p999 + allocs/op (skips -exp)")
-		replicas = flag.Int("replicas", 1, "replica-group size for the -loop fleet (drives spill routing under the bursty scenario)")
-		pinCores = flag.Bool("pin-cores", false, "pin each -loop replica's flusher thread to its own CPU core (Linux; no-op elsewhere)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
+		which   = flag.String("exp", "all", "experiment id (T1,F4,F5,F7a,F7b,F8,F9a,F9b,H,A1,A2,A3,A4,A5,E1,E2) or 'all'")
+		scale   = flag.Float64("scale", 1.0, "fraction of the paper's Table I split sizes")
+		seed    = flag.Int64("seed", 1, "random seed")
+		m       = flag.Int("m", 25, "ensemble size")
+		tsneCSV = flag.String("tsne-csv", "", "directory to dump Fig. 8 embedding coordinates as CSV")
+		loopN   = flag.Int("loop", 0, "closed-loop load harness: assess N windows per scenario through a verdict-tapped fleet and report throughput + p50/p99/p999 + allocs/op (skips -exp)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+		memProf = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 	)
 	var targets targetFlags
 	flag.Var(&targets, "target", "daemon base URL for the -loop HTTP mode (repeatable or comma-separated; round-robin across all)")
@@ -98,7 +95,7 @@ func main() {
 		if len(targets) > 0 {
 			err = runHTTPLoop(*loopN, *seed, targets, os.Stdout)
 		} else {
-			err = runClosedLoop(*loopN, *seed, *replicas, *pinCores, os.Stdout)
+			err = runClosedLoop(*loopN, *seed, os.Stdout)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hmdbench: loop: %v\n", err)
@@ -187,9 +184,7 @@ func run(id string, cfg exp.Config, tsneCSV string) error {
 
 // loopScenario is one load shape of the -loop harness. device maps a
 // request index to its routing key: the uniform scenario spreads across 8
-// devices (so every replica sees home traffic), the bursty one hammers a
-// single device (so all load homes on one replica and must spill to serve
-// well).
+// devices, the bursty one hammers a single device.
 type loopScenario struct {
 	name   string
 	device func(i int) string
@@ -264,12 +259,12 @@ func assessWithRetry(ctx context.Context, fleet *serve.Fleet, spec serve.AssessS
 }
 
 // runClosedLoop is the -loop load harness: a tiny detector served by a
-// verdict-tapped replica-group fleet, n windows per scenario driven
-// concurrently through the full path (routing, replica pick, coalescing,
-// cache, verdict persistence), reporting throughput, p50/p99 latency and
-// the spill share per scenario. It fails when any verdict is lost — the
-// store must hold exactly one record per served window.
-func runClosedLoop(n int, seed int64, replicas int, pinCores bool, out *os.File) error {
+// verdict-tapped fleet, n windows per scenario driven concurrently through
+// the full path (routing, admission, assessment, verdict persistence),
+// reporting throughput and p50/p99 latency per scenario. It fails when
+// any verdict is lost — the store must hold exactly one record per served
+// window.
+func runClosedLoop(n int, seed int64, out *os.File) error {
 	splits, err := gen.DVFSWithSizes(seed, gen.Sizes{Train: 280, Test: 140, Unknown: 40})
 	if err != nil {
 		return err
@@ -292,12 +287,9 @@ func runClosedLoop(n int, seed int64, replicas int, pinCores bool, out *os.File)
 	fleet, err := serve.NewFleet(map[string]*detector.Detector{"dvfs-rf": det},
 		serve.Config{
 			Verdicts: store,
-			Replicas: replicas,
 			// The harness measures the serving path, not the memo: a warm
 			// cache would turn the loop into a hashmap benchmark.
-			CacheSize:  -1,
-			SpillDepth: 1,
-			PinCores:   pinCores,
+			CacheSize: -1,
 		})
 	if err != nil {
 		return err
@@ -311,7 +303,6 @@ func runClosedLoop(n int, seed int64, replicas int, pinCores bool, out *os.File)
 		var (
 			wg        sync.WaitGroup
 			rejected  atomic.Int64
-			spilled   atomic.Int64
 			retried   atomic.Int64
 			latencies = make([][]time.Duration, workers)
 			firstErr  atomic.Pointer[error]
@@ -344,9 +335,6 @@ func runClosedLoop(n int, seed int64, replicas int, pinCores bool, out *os.File)
 					if res.Result.Decision == detector.Reject {
 						rejected.Add(1)
 					}
-					if res.Spilled {
-						spilled.Add(1)
-					}
 				}
 				latencies[w] = lats
 			}(w)
@@ -367,11 +355,11 @@ func runClosedLoop(n int, seed int64, replicas int, pinCores bool, out *os.File)
 		// Heap allocations across the whole scenario, per served window —
 		// the closed-loop view of the request path's alloc budget.
 		allocsPer := float64(ms1.Mallocs-ms0.Mallocs) / float64(len(all))
-		fmt.Fprintf(out, "closed loop [%-7s x%d replica(s)]: %d windows in %v — %.0f verdicts/s (p50 %v, p99 %v, p999 %v, %.1f%% spilled, %d rejected, %d retried, %.1f allocs/op)\n",
-			sc.name, replicas, len(all), elapsed.Round(time.Millisecond), throughput,
+		fmt.Fprintf(out, "closed loop [%-7s]: %d windows in %v — %.0f verdicts/s (p50 %v, p99 %v, p999 %v, %d rejected, %d retried, %.1f allocs/op)\n",
+			sc.name, len(all), elapsed.Round(time.Millisecond), throughput,
 			percentile(all, 500).Round(time.Microsecond), percentile(all, 990).Round(time.Microsecond),
 			percentile(all, 999).Round(time.Microsecond),
-			100*float64(spilled.Load())/float64(len(all)), rejected.Load(), retried.Load(), allocsPer)
+			rejected.Load(), retried.Load(), allocsPer)
 	}
 	st := store.Stats()
 	if st.Records != served {

@@ -1,9 +1,9 @@
 // Command trusthmdd is the trusted-HMD serving daemon: it loads one or
 // more gob-saved detectors (train them with `trusthmd -save` or the
 // pkg/detector Save API) into a hot-swappable serve.Fleet and serves
-// assessment traffic over HTTP — coalesced single-sample requests, client
-// batches, and NDJSON streams of raw DVFS states — while shards can be
-// loaded, replaced and unloaded without restarting.
+// assessment traffic over HTTP — single-sample requests, client batches,
+// and NDJSON streams of raw DVFS states — while shards can be loaded,
+// replaced and unloaded without restarting.
 //
 // Endpoints: POST /v1/assess, POST /v1/assess/batch, POST /v1/assess/stream,
 // GET|POST /v1/models, GET|DELETE /v1/models/{name}, GET /v1/verdicts,
@@ -14,10 +14,7 @@
 //	trusthmd -save det.gob                          # train once
 //	trusthmdd -load det.gob                         # serve it as "default"
 //	trusthmdd -model dvfs=det.gob -model alt=b.gob  # named shard fleet
-//	         [-addr :8080] [-default dvfs]
-//	         [-max-batch 32] [-max-wait 2ms] [-queue 1024]
-//	         [-replicas 3] [-max-inflight 256] [-shed-depth 512]
-//	         [-spill-depth 32] [-flush-depth 32]
+//	         [-addr :8080] [-default dvfs] [-max-inflight 1024]
 //	         [-cache-size 4096] [-workers 0] [-threshold -1]
 //	         [-admin-token secret] [-watch 5s]
 //	         [-verdict-dir verdicts] [-ingest-dir drops]
@@ -27,13 +24,10 @@
 //
 //	curl -s localhost:8080/v1/assess -d '{"features":[...]}'
 //
-// With -replicas N each shard name is served by N independent instances
-// (own coalescer, queue and result cache over one shared model): device
-// routing keeps a home replica for cache affinity and spills overflow to
-// the least-loaded sibling past -spill-depth. -max-inflight and
-// -shed-depth bound each replica — beyond them requests shed with 503 +
-// Retry-After — and -flush-depth flushes a hot coalescer early instead of
-// waiting out -max-wait.
+// Every request assesses on its own handler goroutine; -max-inflight is
+// the one admission bound, capping the samples each shard assesses at
+// once across /v1/assess and /v1/assess/batch — beyond it requests shed
+// with 503 + Retry-After.
 //
 // With -admin-token set, POST /v1/models and DELETE /v1/models/{name}
 // hot-manage the fleet (the token guards them; without the flag they are
@@ -97,15 +91,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		loadPath   = flag.String("load", "", "serve a single saved detector under the name \"default\"")
 		defName    = flag.String("default", "", "shard serving requests that omit \"model\" and \"device\"")
-		maxBatch   = flag.Int("max-batch", 32, "coalescer flush size")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "coalescer max latency before a partial batch flushes")
-		queue      = flag.Int("queue", 1024, "per-replica pending-request buffer; beyond it requests are shed with 503")
-		replicas   = flag.Int("replicas", 1, "independent instances per shard name (own coalescer, queue and cache; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
-		pinCores   = flag.Bool("pin-cores", false, "pin each replica's flusher thread to its own CPU core, round-robin across the fleet (Linux sched_setaffinity; no-op elsewhere)")
-		maxInfl    = flag.Int("max-inflight", 0, "per-replica cap on concurrent work; beyond it requests are shed with 503 + Retry-After (0 = unbounded)")
-		shedDepth  = flag.Int("shed-depth", 0, "shed new requests once a replica's queue holds this many waiting (0 = only when the queue is full)")
-		spillDepth = flag.Int("spill-depth", 0, "home-replica load at which device traffic spills to a sibling (0 = max-batch, negative disables)")
-		flushDepth = flag.Int("flush-depth", 0, "queue backlog at which the coalescer flushes early instead of waiting out max-wait (0 = max-batch, negative disables)")
+		maxInfl    = flag.Int("max-inflight", 0, "per-shard cap on samples assessing at once, both assessment endpoints; beyond it requests are shed with 503 + Retry-After (0 = default 1024, negative = unbounded)")
 		maxBody    = flag.Int64("max-body", 8<<20, "request body size cap in bytes (JSON assessment endpoints)")
 		maxAdmin   = flag.Int64("max-admin-body", 64<<20, "POST /v1/models body cap in bytes (inline model uploads)")
 		maxBatchN  = flag.Int("max-batch-samples", 4096, "largest accepted client-side batch")
@@ -176,15 +162,7 @@ func main() {
 	}
 
 	if err := run(*addr, *loadPath, specs, cl, serve.Config{
-		MaxBatch:           *maxBatch,
-		MaxWait:            *maxWait,
-		QueueSize:          *queue,
-		Replicas:           *replicas,
-		PinCores:           *pinCores,
 		MaxInflight:        *maxInfl,
-		ShedDepth:          *shedDepth,
-		SpillDepth:         *spillDepth,
-		FlushDepth:         *flushDepth,
 		MaxBodyBytes:       *maxBody,
 		MaxAdminBodyBytes:  *maxAdmin,
 		MaxBatchSamples:    *maxBatchN,
@@ -491,7 +469,8 @@ func run(addr, loadPath string, specs modelFlags, cl clusterFlags, cfg serve.Con
 	}
 
 	// The verdict store outlives the fleet (the fleet taps verdicts into
-	// it until its last coalescer drains), so it opens first, closes last.
+	// it until the last in-flight request finishes), so it opens first,
+	// closes last.
 	var store *verdictstore.Store
 	if loop.verdictDir != "" {
 		store, err = verdictstore.Open(loop.verdictDir, verdictstore.Config{
@@ -636,8 +615,7 @@ func run(addr, loadPath string, specs modelFlags, cl clusterFlags, cfg serve.Con
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("trusthmdd listening on %s (%d shard(s) x %d replica(s), max-batch %d, max-wait %v)\n",
-			addr, fleet.Len(), cfg.Replicas, cfg.MaxBatch, cfg.MaxWait)
+		fmt.Printf("trusthmdd listening on %s (%d shard(s))\n", addr, fleet.Len())
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -680,7 +658,7 @@ func run(addr, loadPath string, specs modelFlags, cl clusterFlags, cfg serve.Con
 	// summary line — without this, one connected stream client would pin
 	// Shutdown for the whole budget), stop accepting connections and let
 	// in-flight requests finish, then drain the closed loop and finally
-	// the coalescer queues. The verdict store closes last (deferred).
+	// close the fleet. The verdict store closes last (deferred).
 	fmt.Println("\nshutting down...")
 	srv.BeginDrain()
 	shCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)

@@ -139,10 +139,11 @@ func TestDaemonHandoff(t *testing.T) {
 		t.Fatalf("threshold override lost: %v", got)
 	}
 
-	srv, err := serve.New(models, serve.Config{DefaultModel: "default"})
+	fleet, err := serve.NewFleet(models, serve.Config{DefaultModel: "default"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := serve.NewServer(fleet)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -502,10 +503,11 @@ func TestGBMShardServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(models, serve.Config{DefaultModel: "default"})
+	fleet, err := serve.NewFleet(models, serve.Config{DefaultModel: "default"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := serve.NewServer(fleet)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -545,15 +547,49 @@ func TestGBMShardServes(t *testing.T) {
 	}
 }
 
-// TestReplicaE2E is the replica-smoke e2e CI runs under -race: boot the
-// daemon stack with a 3-replica group and an aggressive spill watermark,
-// drive sustained bursty load keyed to ONE device (so all of it homes on
-// one replica), hot-swap the whole group through POST /v1/models mid-run,
-// and assert that (a) zero requests are lost, (b) every response — home,
-// spilled, pre- and post-swap — is element-wise identical to direct
-// assessment, and (c) the spillover actually engaged: sibling replicas
-// served >10% of the burst.
-func TestReplicaE2E(t *testing.T) {
+// bootAdmissionStack boots the daemon stack exactly as run() wires it
+// over the detector saved at path, with the given in-flight cap and the
+// result cache disabled so every request is assessed and admitted.
+func bootAdmissionStack(t *testing.T, path, token string, maxInflight int) *httptest.Server {
+	t.Helper()
+	cfg := serve.Config{
+		DefaultModel: "default",
+		AdminToken:   token,
+		CacheSize:    -1,
+		MaxInflight:  maxInflight,
+	}
+	cfg.PrepareDetector = overrides(0, -1)
+	specs, err := allSpecs(path, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := loadModels(specs, cfg.PrepareDetector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := serve.NewFleet(models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(fleet)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return ts
+}
+
+// TestAdmissionE2E is the admission smoke CI runs under -race, on one
+// shard per daemon stack:
+//   - swap: sustained concurrent load while the shard is hot-swapped twice
+//     through POST /v1/models loses zero requests, and every response is
+//     element-wise identical to direct assessment;
+//   - shed: with -max-inflight 1, single requests racing a large client
+//     batch are either served with the identical verdict or shed with
+//     503 + Retry-After and the queue-full envelope, and /stats counts
+//     exactly the sheds the clients saw.
+func TestAdmissionE2E(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "det.gob")
 	d := saveDetector(t, path)
@@ -572,165 +608,202 @@ func TestReplicaE2E(t *testing.T) {
 		}
 		want[i] = r
 	}
+	identical := func(got serve.AssessResponse, j int) bool {
+		return got.Prediction == want[j].Prediction && got.Entropy == want[j].Entropy &&
+			got.Decision == want[j].Decision.String()
+	}
+	post := func(client *http.Client, url string, v any) (*http.Response, []byte, error) {
+		body, _ := json.Marshal(v)
+		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, nil, err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		return resp, raw, err
+	}
+	getStats := func(url string) serve.ShardStats {
+		t.Helper()
+		resp, err := http.Get(url + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats struct {
+			ShedTotal *int64             `json:"shed_total"`
+			Shards    []serve.ShardStats `json:"shards"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.ShedTotal == nil || len(stats.Shards) != 1 || *stats.ShedTotal != stats.Shards[0].Shed {
+			t.Fatalf("/stats: shed_total %v, shards %+v", stats.ShedTotal, stats.Shards)
+		}
+		return stats.Shards[0]
+	}
 
-	// Boot the daemon stack exactly as run() wires it, with the replica
-	// knobs a hot deployment would use (cache disabled so every request
-	// exercises a queue and the spill decision is load-driven).
-	const token = "replica-secret"
-	cfg := serve.Config{
-		DefaultModel: "default",
-		AdminToken:   token,
-		Replicas:     3,
-		SpillDepth:   1,
-		CacheSize:    -1,
-		MaxBatch:     8,
-		MaxWait:      time.Millisecond,
-	}
-	cfg.PrepareDetector = overrides(0, -1)
-	specs, err := allSpecs(path, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := loadModels(specs, cfg.PrepareDetector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := serve.NewFleet(models, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.NewServer(fleet)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
+	t.Run("swap", func(t *testing.T) {
+		const token = "admission-secret"
+		ts := bootAdmissionStack(t, path, token, 0)
+		const workers = 12
+		const perWorker = 30
+		var lost, mismatched atomic.Int64
+		var minVersion, maxVersion atomic.Uint64
+		minVersion.Store(^uint64(0))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				client := ts.Client()
+				for i := 0; i < perWorker; i++ {
+					j := (w*perWorker + i) % len(X)
+					resp, raw, err := post(client, ts.URL+"/v1/assess", serve.AssessRequest{Device: "hot-device", Features: X[j]})
+					var got serve.AssessResponse
+					if err != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &got) != nil {
+						lost.Add(1)
+						continue
+					}
+					if !identical(got, j) {
+						mismatched.Add(1)
+					}
+					for {
+						v := minVersion.Load()
+						if got.Version >= v || minVersion.CompareAndSwap(v, got.Version) {
+							break
+						}
+					}
+					for {
+						v := maxVersion.Load()
+						if got.Version <= v || maxVersion.CompareAndSwap(v, got.Version) {
+							break
+						}
+					}
+				}
+			}(w)
+		}
 
-	const workers = 12
-	const perWorker = 30
-	var lost, mismatched atomic.Int64
-	var minVersion, maxVersion atomic.Uint64
-	minVersion.Store(^uint64(0))
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			client := ts.Client()
-			for i := 0; i < perWorker; i++ {
-				j := (w*perWorker + i) % len(X)
-				body, _ := json.Marshal(serve.AssessRequest{Device: "hot-device", Features: X[j]})
-				resp, err := client.Post(ts.URL+"/v1/assess", "application/json", bytes.NewReader(body))
+		// Mid-run, hot-swap the shard twice through the admin endpoint
+		// (same gob — the invariant under test is losslessness and verdict
+		// identity, not model change).
+		swapped := make(chan error, 1)
+		go func() {
+			var firstErr error
+			for i := 0; i < 2; i++ {
+				time.Sleep(3 * time.Millisecond)
+				body, _ := json.Marshal(serve.LoadModelRequest{Name: "default", Path: path})
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models", bytes.NewReader(body))
 				if err != nil {
-					lost.Add(1)
-					continue
+					firstErr = err
+					break
 				}
-				var got serve.AssessResponse
-				decErr := json.NewDecoder(resp.Body).Decode(&got)
+				req.Header.Set("Authorization", "Bearer "+token)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					firstErr = err
+					break
+				}
+				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || decErr != nil {
-					lost.Add(1)
-					continue
-				}
-				if got.Prediction != want[j].Prediction || got.Entropy != want[j].Entropy ||
-					got.Decision != want[j].Decision.String() {
-					mismatched.Add(1)
-				}
-				for {
-					v := minVersion.Load()
-					if got.Version >= v || minVersion.CompareAndSwap(v, got.Version) {
-						break
-					}
-				}
-				for {
-					v := maxVersion.Load()
-					if got.Version <= v || maxVersion.CompareAndSwap(v, got.Version) {
-						break
-					}
+				if resp.StatusCode != http.StatusOK {
+					firstErr = fmt.Errorf("swap %d: status %d", i, resp.StatusCode)
+					break
 				}
 			}
-		}(w)
-	}
+			swapped <- firstErr
+		}()
 
-	// Mid-run, hot-swap the whole 3-replica group twice through the admin
-	// endpoint (same gob — the invariant under test is losslessness and
-	// verdict identity, not model change).
-	swapped := make(chan error, 1)
-	go func() {
-		var firstErr error
-		for i := 0; i < 2; i++ {
-			time.Sleep(3 * time.Millisecond)
-			body, _ := json.Marshal(serve.LoadModelRequest{Name: "default", Path: path})
-			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models", bytes.NewReader(body))
-			if err != nil {
-				firstErr = err
-				break
-			}
-			req.Header.Set("Authorization", "Bearer "+token)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				firstErr = err
-				break
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				firstErr = fmt.Errorf("swap %d: status %d", i, resp.StatusCode)
-				break
+		close(start)
+		wg.Wait()
+		if err := <-swapped; err != nil {
+			t.Fatal(err)
+		}
+		if n := lost.Load(); n != 0 {
+			t.Fatalf("%d of %d requests lost across the swaps", n, workers*perWorker)
+		}
+		if n := mismatched.Load(); n != 0 {
+			t.Fatalf("%d responses diverged from direct assessment", n)
+		}
+		if minVersion.Load() == maxVersion.Load() {
+			t.Fatalf("all responses carried version %d — the swaps never overlapped the load", maxVersion.Load())
+		}
+		if st := getStats(ts.URL); st.Requests != workers*perWorker || st.Shed != 0 || st.Inflight != 0 {
+			t.Fatalf("stats: %+v, want %d requests and no sheds", st, workers*perWorker)
+		}
+	})
+
+	t.Run("shed", func(t *testing.T) {
+		ts := bootAdmissionStack(t, path, "", 1)
+		batch := make([][]float64, 4096)
+		for i := range batch {
+			batch[i] = X[i%len(X)]
+		}
+		checkShed := func(resp *http.Response, raw []byte) {
+			t.Helper()
+			var e serve.ErrorResponse
+			if resp.Header.Get("Retry-After") != "1" || json.Unmarshal(raw, &e) != nil || e.Error != serve.ErrQueueFull.Error() {
+				t.Fatalf("shed answer: Retry-After %q, body %s", resp.Header.Get("Retry-After"), raw)
 			}
 		}
-		swapped <- firstErr
-	}()
-
-	close(start)
-	wg.Wait()
-	if err := <-swapped; err != nil {
-		t.Fatal(err)
-	}
-	if n := lost.Load(); n != 0 {
-		t.Fatalf("%d of %d requests lost across the group swap", n, workers*perWorker)
-	}
-	if n := mismatched.Load(); n != 0 {
-		t.Fatalf("%d responses diverged from direct assessment", n)
-	}
-	if minVersion.Load() == maxVersion.Load() {
-		t.Fatalf("all responses carried version %d — the swaps never overlapped the load", maxVersion.Load())
-	}
-
-	// The burst was keyed to one device: the spill stats prove siblings
-	// carried real load, and the /stats wire shape carries the per-replica
-	// gauges.
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		ShedTotal *int64             `json:"shed_total"`
-		Shards    []serve.ShardStats `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.ShedTotal == nil {
-		t.Fatal("/stats missing shed_total")
-	}
-	if len(stats.Shards) != 1 {
-		t.Fatalf("shards: %+v", stats.Shards)
-	}
-	st := stats.Shards[0]
-	if st.Requests != workers*perWorker {
-		t.Fatalf("requests %d, want %d", st.Requests, workers*perWorker)
-	}
-	if st.Spills == 0 {
-		t.Fatal("single-device burst never spilled to a sibling replica")
-	}
-	if len(st.Replicas) != 3 {
-		t.Fatalf("per-replica stats: %+v", st.Replicas)
-	}
-	// served gauges reset on swap (fresh replicas), so the sibling share is
-	// asserted on spills vs requests: every spill was served by a sibling.
-	if share := float64(st.Spills) / float64(st.Requests); share <= 0.10 {
-		t.Fatalf("siblings served %.1f%% of the burst, want >10%%", 100*share)
-	}
+		var served, shed, batchShed int64
+		// A 4096-row batch holds the shard's whole in-flight budget while it
+		// assesses; single requests fired meanwhile must shed (and the batch
+		// itself sheds when it arrives while a single is assessing).
+		// Scheduling decides how many overlap, so repeat until some did.
+		for round := 0; round < 50 && shed == 0; round++ {
+			type answer struct {
+				resp *http.Response
+				raw  []byte
+				err  error
+			}
+			batchDone := make(chan answer, 1)
+			go func() {
+				resp, raw, err := post(ts.Client(), ts.URL+"/v1/assess/batch", serve.BatchRequest{Batch: batch})
+				batchDone <- answer{resp, raw, err}
+			}()
+			for done := false; !done; {
+				select {
+				case a := <-batchDone:
+					switch {
+					case a.err != nil:
+						t.Fatal(a.err)
+					case a.resp.StatusCode == http.StatusServiceUnavailable:
+						checkShed(a.resp, a.raw)
+						batchShed++
+					case a.resp.StatusCode != http.StatusOK:
+						t.Fatalf("batch: status %d: %s", a.resp.StatusCode, a.raw)
+					}
+					done = true
+					continue
+				default:
+				}
+				j := int(served+shed) % len(X)
+				resp, raw, err := post(ts.Client(), ts.URL+"/v1/assess", serve.AssessRequest{Features: X[j]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch resp.StatusCode {
+				case http.StatusOK:
+					var got serve.AssessResponse
+					if err := json.Unmarshal(raw, &got); err != nil || !identical(got, j) {
+						t.Fatalf("served %s, want %+v (%v)", raw, want[j], err)
+					}
+					served++
+				case http.StatusServiceUnavailable:
+					checkShed(resp, raw)
+					shed++
+				default:
+					t.Fatalf("status %d: %s", resp.StatusCode, raw)
+				}
+			}
+		}
+		if shed == 0 {
+			t.Fatal("no single request overlapped a running batch in 50 rounds")
+		}
+		if st := getStats(ts.URL); st.Shed != shed+batchShed || st.Requests != served || st.Inflight != 0 {
+			t.Fatalf("stats: %+v, clients saw %d served, %d single and %d batch sheds", st, served, shed, batchShed)
+		}
+	})
 }

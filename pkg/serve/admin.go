@@ -17,9 +17,9 @@ import (
 //	POST   /v1/models          {"name":..., "data":...}  load or swap from an inline base64 gob body
 //	DELETE /v1/models/{name}                             unload
 //
-// Both mutate the fleet while traffic flows: a swap drains in-flight
-// coalesced batches on the old detector and routes everything after it to
-// the new version (see Fleet.Swap). When Config.AdminToken is set, both
+// Both mutate the fleet while traffic flows: requests already resolved
+// finish on the old detector and everything after the swap reaches the
+// new version (see Fleet.Swap). When Config.AdminToken is set, both
 // require "Authorization: Bearer <token>".
 
 // LoadModelRequest is the JSON body of POST /v1/models. Exactly one of
@@ -39,10 +39,8 @@ type LoadModelResponse struct {
 	Name string `json:"name"`
 	// Version is the shard's new version; Replaced reports whether an
 	// earlier version was hot-swapped out (false: the name is new).
-	Version  uint64 `json:"version"`
-	Replaced bool   `json:"replaced"`
-	// Replicas is the group size the new version was fanned out to.
-	Replicas int           `json:"replicas"`
+	Version  uint64        `json:"version"`
+	Replaced bool          `json:"replaced"`
 	Info     detector.Info `json:"info"`
 }
 
@@ -129,7 +127,6 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		Name:     req.Name,
 		Version:  version,
 		Replaced: replaced,
-		Replicas: s.fleet.cfg.Replicas,
 		Info:     det.Info(),
 	})
 }

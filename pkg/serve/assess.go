@@ -4,11 +4,25 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sync"
 	"time"
 
 	"trusthmd/pkg/detector"
 	"trusthmd/pkg/verdictstore"
 )
+
+// ErrQueueFull is returned when a shard refuses a request because its
+// in-flight cap (Config.MaxInflight) is exhausted, so the daemon sheds
+// load with 503 + Retry-After instead of piling up concurrent work.
+var ErrQueueFull = errors.New("serve: assessment queue full")
+
+// ErrClosed is returned for requests submitted after shutdown began.
+var ErrClosed = errors.New("serve: server is shutting down")
+
+// assessScratch recycles the single-sample assessment workspace across
+// requests: every request assesses on its own goroutine, so the steady
+// state borrows a warm arena instead of growing one per call.
+var assessScratch = sync.Pool{New: func() any { return new(detector.BatchScratch) }}
 
 // AssessSpec is one assessment request against the fleet: the routing
 // keys and feature vector of the HTTP assess endpoint, usable by any
@@ -24,10 +38,10 @@ type AssessSpec struct {
 	// "batch", "stream", "ingest"; default "assess").
 	Source string
 	// VoteBuf, when non-nil, is a caller-owned buffer the verdict's vote
-	// distribution is built in (grown as needed) instead of a fresh
-	// allocation. On success the returned Result owns the possibly-regrown
-	// buffer; on error the buffer must be considered lost — the coalescer
-	// may still be writing into it (see coalescer.submitVotes).
+	// distribution is copied into (grown as needed) instead of a fresh
+	// allocation. When the detector answered, the returned Result's
+	// VoteDist is the possibly-regrown buffer; a cache hit or an error
+	// leaves the buffer untouched.
 	VoteBuf []float64
 }
 
@@ -36,11 +50,6 @@ type AssessOutcome struct {
 	// Model / Version identify the shard version that answered.
 	Model   string
 	Version uint64
-	// Replica is the slot index of the replica that answered; Spilled
-	// reports whether load-aware routing sent the request away from its
-	// home replica.
-	Replica int
-	Spilled bool
 	// Result is the trusted verdict.
 	Result detector.Result
 	// Cached reports whether the cross-request result cache answered.
@@ -65,61 +74,69 @@ func (e *validationError) Unwrap() error { return e.err }
 // Assess routes one feature vector to a shard and returns its verdict —
 // the transport-independent core of POST /v1/assess. The full serving
 // path applies: resolve (model/device/default precedence), input
-// validation, the cross-request result cache, coalesced batching, and
-// the lossless retry when a hot swap closes the shard mid-request. When
-// a verdict store is attached, every outcome — cache hits included, they
+// validation, the cross-request result cache, then admission against the
+// shard's in-flight cap and assessment on the caller's goroutine. A
+// request racing a hot swap answers from the version it resolved. When a
+// verdict store is attached, every outcome — cache hits included, they
 // are served verdicts — is persisted with its latency.
 func (f *Fleet) Assess(ctx context.Context, spec AssessSpec) (AssessOutcome, error) {
 	start := time.Now()
-	missCounted := false
-	for attempt := 0; ; attempt++ {
-		sh, spilled, err := f.resolveReplica(spec.Model, spec.Device)
-		if err != nil {
-			return AssessOutcome{}, &routeError{err}
-		}
-		if err := validateFeatures(spec.Features, sh.det.InputDim()); err != nil {
-			return AssessOutcome{}, &validationError{err}
-		}
-		var key uint64
-		if sh.cache != nil { // disabled caches pay no hashing and keep zero counters
-			key = hashVec(spec.Features)
-			if res, ok := sh.cache.get(key, spec.Features); ok {
-				// Cross-request memo hit: same vector, same (deterministic)
-				// verdict — answered without queueing or assessing.
-				sh.stats.requests.Add(1)
-				sh.stats.cacheHits.Add(1)
-				sh.stats.cacheHitsSingle.Add(1)
-				sh.stats.observeOne(res.Decision)
-				sh.served.Add(1)
-				out := AssessOutcome{Model: sh.name, Version: sh.version, Replica: sh.idx, Spilled: spilled, Result: res, Cached: true}
-				f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
-				return out, nil
-			}
-			// One miss per request: a retry after losing the swap race
-			// probes the replacement's fresh cache, but it is still the
-			// same request.
-			if !missCounted {
-				sh.stats.cacheMisses.Add(1)
-				missCounted = true
-			}
-		}
-		res, err := sh.assessOne(ctx, spec.Features, spec.VoteBuf)
-		switch {
-		case err == nil:
-			sh.cache.put(key, spec.Features, res)
-			sh.served.Add(1)
-			out := AssessOutcome{Model: sh.name, Version: sh.version, Replica: sh.idx, Spilled: spilled, Result: res}
-			f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
-			return out, nil
-		case errors.Is(err, ErrClosed) && attempt < maxSwapRetries:
-			// The shard was hot-swapped between resolve and submit; its
-			// replacement is already serving. Re-resolve instead of failing
-			// the request — this is what makes a Swap lossless under load.
-			continue
-		default:
-			return AssessOutcome{}, err
-		}
+	sh, err := f.resolve(spec.Model, spec.Device)
+	if err != nil {
+		return AssessOutcome{}, &routeError{err}
 	}
+	if err := validateFeatures(spec.Features, sh.det.InputDim()); err != nil {
+		return AssessOutcome{}, &validationError{err}
+	}
+	var key uint64
+	if sh.cache != nil { // disabled caches pay no hashing and keep zero counters
+		key = hashVec(spec.Features)
+		if res, ok := sh.cache.get(key, spec.Features); ok {
+			// Cross-request memo hit: same vector, same (deterministic)
+			// verdict — answered without admission or assessment.
+			sh.stats.requests.Add(1)
+			sh.stats.cacheHits.Add(1)
+			sh.stats.cacheHitsSingle.Add(1)
+			sh.stats.observeOne(res.Decision)
+			f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
+			return AssessOutcome{Model: sh.name, Version: sh.version, Result: res, Cached: true}, nil
+		}
+		sh.stats.cacheMisses.Add(1)
+	}
+	if err := ctx.Err(); err != nil {
+		return AssessOutcome{}, err
+	}
+	if err := sh.admit(1); err != nil {
+		return AssessOutcome{}, err
+	}
+	res, err := sh.assessOne(spec.Features, spec.VoteBuf)
+	sh.release(1)
+	if err != nil {
+		return AssessOutcome{}, err
+	}
+	sh.cache.put(key, spec.Features, res)
+	f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
+	return AssessOutcome{Model: sh.name, Version: sh.version, Result: res}, nil
+}
+
+// assessOne assesses one admitted vector in a pooled scratch arena and
+// copies the verdict's vote distribution out of the arena into votes
+// (grown as needed) before the arena goes back to the pool.
+func (s *shard) assessOne(x, votes []float64) (detector.Result, error) {
+	sc := assessScratch.Get().(*detector.BatchScratch)
+	res, err := s.det.AssessInto(sc, x)
+	if err == nil {
+		res.VoteDist = append(votes[:0], res.VoteDist...)
+	}
+	assessScratch.Put(sc)
+	s.stats.batches.Add(1)
+	if err != nil {
+		s.stats.errors.Add(1)
+		return detector.Result{}, err
+	}
+	s.stats.requests.Add(1)
+	s.stats.observeOne(res.Decision)
+	return res, nil
 }
 
 // recordVerdict persists one served verdict when a store is attached.

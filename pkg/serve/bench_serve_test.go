@@ -12,7 +12,7 @@ import (
 
 // The loopback harness drives ServeHTTP directly with a reusable request
 // body and response sink, so the benchmarks (and TestAllocsServe) measure
-// the serving path itself — decode, route, coalesce, assess, encode — not
+// the serving path itself — decode, route, admit, assess, encode — not
 // the cost of rebuilding net/http plumbing per iteration.
 
 // replayBody is a resettable request body over a fixed byte slice.
@@ -61,25 +61,17 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 }
 
 // benchServer builds a single-shard fleet tuned for the loopback path:
-// MaxBatch 1 so a sequential driver never waits out the coalescing timer,
 // cache disabled so every request walks the full assess path instead of
 // turning the benchmark into a hashmap lookup.
 func benchServer(tb testing.TB) (*Server, [][]float64) {
 	tb.Helper()
 	d, X := testDetector(tb)
-	f, err := NewFleet(map[string]*detector.Detector{"dvfs-rf": d}, Config{
-		MaxBatch:  1,
-		CacheSize: -1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return NewServer(f), X
+	return mountFleet(tb, map[string]*detector.Detector{"dvfs-rf": d}, Config{CacheSize: -1}), X
 }
 
 // BenchmarkServeAssess is the steady-state single-request loopback: one
 // POST /v1/assess round trip per iteration through decode, admission,
-// coalescer handoff, assessment and response encoding.
+// assessment and response encoding.
 func BenchmarkServeAssess(b *testing.B) {
 	srv, X := benchServer(b)
 	defer srv.Close()
@@ -136,7 +128,7 @@ func BenchmarkServeBatch(b *testing.B) {
 }
 
 // TestAllocsServe pins the steady-state allocation budget of the hot
-// request paths. The pooled codecs, coalescer fast path and precomputed
+// request paths. The pooled codecs and scratch arenas and the precomputed
 // error bodies brought /v1/assess to ~1 alloc/op and /v1/assess/batch to
 // ~0; the budgets below leave a little headroom for runtime noise (pool
 // misses after a GC) while still catching any regression back toward the
@@ -164,7 +156,7 @@ func TestAllocsServe(t *testing.T) {
 				t.Fatalf("%s: status %d: %s", path, w.code, w.body)
 			}
 		}
-		// Warm the pools and the coalescer before counting.
+		// Warm the pools before counting.
 		for i := 0; i < 32; i++ {
 			do()
 		}

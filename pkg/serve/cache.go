@@ -12,11 +12,10 @@ import (
 // feature vectors arrive from many independent clients — the cross-request
 // analogue of the window memo inside detector.Online. Each shard owns a
 // bounded LRU keyed on the vector's FNV-1a hash; a hit answers without
-// touching the coalescer or the detector at all. A trained detector is
-// deterministic (same vector, same verdict — the property the coalescer
-// already relies on), so cached answers are bit-identical to recomputed
-// ones; entries are verified against the stored vector, never trusted on
-// hash alone.
+// admission or the detector at all. A trained detector is deterministic
+// (same vector, same verdict), so cached answers are bit-identical to
+// recomputed ones; entries are verified against the stored vector, never
+// trusted on hash alone.
 
 // resultCache is one shard's bounded LRU of assessment results. Entries
 // own deep copies of both key vector and result, so cached values never

@@ -191,11 +191,10 @@ type StreamPushResult struct {
 // successor after this node dies and the stream continues losslessly,
 // which is exactly what the cluster does on failover.
 func (f *Fleet) StreamPush(model, device string, cfg detector.StreamConfig, st *detector.SessionState, states []int) (StreamPushResult, error) {
-	g, err := f.resolve(model, device)
+	sh, err := f.resolve(model, device)
 	if err != nil {
 		return StreamPushResult{}, &routeError{err}
 	}
-	sh := g.home(device)
 	if cfg.Window > f.cfg.MaxStreamWindow {
 		return StreamPushResult{}, fmt.Errorf("window %d exceeds limit %d", cfg.Window, f.cfg.MaxStreamWindow)
 	}

@@ -25,7 +25,7 @@ package serve
 //     structs, trailing newline included (golden-pinned in codec_test.go).
 //
 // A codecScratch is one request's workspace, recycled through a sync.Pool:
-// the decoded feature slices alias it, the coalescer copies the verdict's
+// the decoded feature slices alias it, the assessment copies the verdict's
 // VoteDist into its votes buffer, and the response bytes are assembled in
 // its out buffer. Ownership is strictly per-request — everything the
 // serving layer retains (result cache, verdict store) copies out of it
@@ -51,7 +51,7 @@ type codecScratch struct {
 	body     []byte      // raw request body
 	features []float64   // AssessRequest.Features backing
 	rows     [][]float64 // BatchRequest.Batch row views; each row keeps its own backing
-	votes    []float64   // VoteDist copy-out buffer threaded to the coalescer
+	votes    []float64   // VoteDist copy-out buffer threaded to the assessment
 	out      []byte      // response encode buffer
 	str      []byte      // unquoted string/key scratch
 	keys     []uint64    // batch path: per-row cache keys

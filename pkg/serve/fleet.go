@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"trusthmd/pkg/cluster/ring"
 	"trusthmd/pkg/detector"
 )
 
@@ -19,32 +18,27 @@ import (
 // it; embedders that want a different transport (gRPC, a queue consumer)
 // drive the Fleet directly.
 //
-// Each name resolves to a *replica group*: Config.Replicas independent
-// instances of the same detector, each with its own coalescer, result
-// cache and bounded queue. Requests pick a replica in two levels — the
-// consistent-hash device routing chooses a *home* replica for cache and
-// session affinity, and when the home queue is hot, power-of-two-choices
-// spills the overflow to the least-loaded sibling. Replicas share one
-// trained detector (assessment is read-only and concurrency-safe), so a
-// spilled request's verdict is element-wise identical to the home
-// replica's.
+// Each name resolves to one shard: an immutable detector, its result
+// cache and the name's counters. A Fleet owns no goroutines — every
+// request assesses on its caller's goroutine, behind the shard's one
+// in-flight cap (Config.MaxInflight).
 //
-// Mutations are RCU-style and group-wide: Swap installs a freshly built
-// group (new coalescers, new result caches, version+1) under the registry
-// lock and only then drains the old group's coalescers outside the lock,
-// so requests already queued complete on the detector they were accepted
-// for and requests that race the swap retry onto the replacement — no
-// in-flight work is lost. Each group carries a monotonically increasing
-// per-name version and the fleet an epoch that bumps on every mutation;
-// both are surfaced in /v1/models, /stats and assessment responses so
-// clients can observe exactly which model answered.
+// Mutations are RCU-style: Swap installs a fresh shard (new result cache,
+// version+1) under the registry lock, and nothing else. A request that
+// resolved the old shard finishes on the detector it resolved and reports
+// that version; everything resolved after the swap reaches the
+// replacement — no in-flight work is lost or retried. Each shard carries
+// a monotonically increasing per-name version and the fleet an epoch that
+// bumps on every mutation; both are surfaced in /v1/models, /stats and
+// assessment responses so clients can observe exactly which model
+// answered.
 type Fleet struct {
 	cfg Config
 
 	mu     sync.RWMutex
-	shards map[string]*group
+	shards map[string]*shard
 	names  []string // sorted shard names
-	ring   *hashRing
+	ring   *ring.Ring
 	// versions and statsByName survive Unload so a name reloaded later
 	// continues its version sequence and its cumulative counters instead
 	// of restarting — and counters folded in late (a stream that outlived
@@ -61,171 +55,38 @@ type Fleet struct {
 	// verdictAppendErrs counts verdict-store appends that failed (the tap
 	// never fails serving, so the only trace is this counter).
 	verdictAppendErrs atomic.Int64
-
-	// nextPin hands out CPU cores round-robin to replica flushers when
-	// PinCores is set; it keeps counting across loads and swaps so a
-	// replacement group lands on fresh cores instead of stacking on 0.
-	nextPin atomic.Int64
 }
 
-// group is one named shard version fanned out over N replicas. The
-// replicas, their coalescers and their caches belong to this version (a
-// swap replaces them all — a stale cache must never serve the old model's
-// verdicts); the stats object is shared across versions of the same name
-// so counters stay cumulative over swaps.
-type group struct {
+// shard is one named detector version. The detector and the result cache
+// belong to this version (a swap replaces both — a stale cache must never
+// serve the old model's verdicts); the stats object, in-flight gauge
+// included, is shared across versions of the same name, so counters stay
+// cumulative and a swap does not reopen admission.
+type shard struct {
 	name    string
 	version uint64
 	det     *detector.Detector
-	stats   *shardStats
-
-	replicas []*replica
-	// ring maps device keys onto home replica indices; nil for a single
-	// replica. It depends only on the group size, so a same-size swap
-	// preserves every device's home slot.
-	ring *hashRing
-	// rr hands device-less stream sessions round-robin home slots.
-	rr atomic.Uint64
-	// spillDepth is the home-replica load at which device traffic spills
-	// to the least-loaded sibling.
-	spillDepth int
-}
-
-// replica is one independent serving instance inside a group: its own
-// coalescer (queue + flusher) and its own result cache over the group's
-// shared detector. The name/version/det/stats fields mirror the group's so
-// handlers can serve from a picked replica without a back-reference.
-type replica struct {
-	name    string
-	version uint64
-	idx     int
-	det     *detector.Detector
-	co      *coalescer
 	cache   *resultCache
 	stats   *shardStats
-	// maxInflight caps this replica's total in-flight work (coalesced +
-	// client-batched samples); 0 means unbounded.
-	maxInflight int
-	// batchInflight gauges client-batch samples currently assessing (the
-	// /v1/assess/batch path bypasses the coalescer queue).
-	batchInflight atomic.Int64
-	// served counts requests this replica answered — the spillover share
-	// is read off these per-replica counters.
-	served atomic.Int64
+	// maxInflight caps the name's concurrent work in samples; 0 means
+	// unbounded.
+	maxInflight int64
 }
 
-// load is the replica's admission and routing gauge: coalesced requests
-// accepted and not yet settled, plus client-batch samples in flight.
-func (r *replica) load() int64 {
-	return r.co.inflight.Load() + r.batchInflight.Load()
-}
-
-// overloaded reports whether admission control refuses new work: the
-// queue reached the shed watermark or the in-flight cap is exhausted.
-func (r *replica) overloaded() bool {
-	if sd := r.co.tuning.shedDepth; sd > 0 && r.co.queueDepth() >= sd {
-		return true
-	}
-	return r.maxInflight > 0 && r.load() >= int64(r.maxInflight)
-}
-
-// assessOne is the admission-controlled single-sample path: the in-flight
-// cap is enforced here (the queue-depth watermark lives in the coalescer),
-// then the request coalesces as before.
-func (r *replica) assessOne(ctx context.Context, x, votes []float64) (detector.Result, error) {
-	if r.maxInflight > 0 && r.load() >= int64(r.maxInflight) {
-		r.stats.shed.Add(1)
-		return detector.Result{}, ErrQueueFull
-	}
-	return r.co.submitVotes(ctx, x, votes)
-}
-
-// admitBatch reserves capacity for a client-supplied batch of n samples.
-// A replica whose queue is at the shed watermark, or whose in-flight cap
-// is already exhausted, refuses — the batch path sheds with the same 503 +
-// Retry-After as the coalesced path. An idle replica always admits one
-// batch regardless of its size (the cap gates concurrency, it is not a
-// batch-size limit); the reservation may overshoot the cap and later
-// requests observe it.
-func (r *replica) admitBatch(n int) error {
-	if sd := r.co.tuning.shedDepth; sd > 0 && r.co.queueDepth() >= sd {
-		r.stats.shed.Add(1)
+// admit reserves n samples of in-flight work, or sheds with ErrQueueFull
+// when the shard is already at its cap. An idle shard always admits, so
+// the cap bounds concurrency, not the size of one client batch.
+func (s *shard) admit(n int) error {
+	if v := s.stats.inflight.Add(int64(n)); s.maxInflight > 0 && v-int64(n) >= s.maxInflight {
+		s.stats.inflight.Add(-int64(n))
+		s.stats.shed.Add(1)
 		return ErrQueueFull
 	}
-	if r.maxInflight > 0 && r.load() >= int64(r.maxInflight) {
-		r.stats.shed.Add(1)
-		return ErrQueueFull
-	}
-	r.batchInflight.Add(int64(n))
 	return nil
 }
 
-// releaseBatch retires a reservation made by admitBatch.
-func (r *replica) releaseBatch(n int) { r.batchInflight.Add(-int64(n)) }
-
-// home returns the replica a request has cache/session affinity with: the
-// within-group consistent-hash pick for a device key, a round-robin slot
-// for device-less requests.
-func (g *group) home(device string) *replica {
-	if len(g.replicas) == 1 {
-		return g.replicas[0]
-	}
-	if device == "" {
-		return g.replicas[int(g.rr.Add(1))%len(g.replicas)]
-	}
-	return g.replicas[g.ring.lookupReplica(device)]
-}
-
-// pick chooses the serving replica for one request: the home replica while
-// its queue is cool, the least-loaded sibling (power-of-two-choices: home
-// versus best alternative, take the lighter) once the home load crosses
-// the spill watermark. Device-less requests have no affinity to preserve
-// and go straight to the least-loaded replica. The second return reports
-// whether the request spilled away from its home.
-func (g *group) pick(device string) (*replica, bool) {
-	if len(g.replicas) == 1 {
-		return g.replicas[0], false
-	}
-	if device == "" {
-		return g.leastLoaded(), false
-	}
-	home := g.home(device)
-	if home.load() < int64(g.spillDepth) {
-		return home, false
-	}
-	if best := g.leastLoaded(); best != home && best.load() < home.load() {
-		g.stats.spills.Add(1)
-		return best, true
-	}
-	return home, false
-}
-
-// leastLoaded scans the group for the lightest replica (group sizes are
-// single digits; a scan is cheaper than bookkeeping a heap).
-func (g *group) leastLoaded() *replica {
-	best := g.replicas[0]
-	bestLoad := best.load()
-	for _, r := range g.replicas[1:] {
-		if l := r.load(); l < bestLoad {
-			best, bestLoad = r, l
-		}
-	}
-	return best
-}
-
-// close drains every replica's coalescer, in parallel so a group-wide
-// swap's drain latency is one replica's, not the sum.
-func (g *group) close() {
-	var wg sync.WaitGroup
-	for _, r := range g.replicas {
-		wg.Add(1)
-		go func(r *replica) {
-			defer wg.Done()
-			r.co.close()
-		}(r)
-	}
-	wg.Wait()
-}
+// release retires a reservation made by admit.
+func (s *shard) release(n int) { s.stats.inflight.Add(-int64(n)) }
 
 // NewFleet builds a fleet over the given named detectors (which may be
 // empty: an empty fleet serves 404s until Load or the admin endpoint
@@ -235,7 +96,7 @@ func NewFleet(models map[string]*detector.Detector, cfg Config) (*Fleet, error) 
 	cfg = cfg.withDefaults()
 	f := &Fleet{
 		cfg:         cfg,
-		shards:      make(map[string]*group, len(models)),
+		shards:      make(map[string]*shard, len(models)),
 		versions:    make(map[string]uint64, len(models)),
 		statsByName: make(map[string]*shardStats, len(models)),
 	}
@@ -254,46 +115,6 @@ func NewFleet(models map[string]*detector.Detector, cfg Config) (*Fleet, error) 
 	return f, nil
 }
 
-// newGroup assembles one shard version as a full replica group; stats is
-// shared across versions (and across the group's replicas).
-func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, stats *shardStats) *group {
-	n := f.cfg.Replicas
-	g := &group{
-		name:       name,
-		version:    version,
-		det:        det,
-		stats:      stats,
-		replicas:   make([]*replica, n),
-		ring:       buildReplicaRing(n),
-		spillDepth: f.cfg.SpillDepth,
-	}
-	tuning := coTuning{
-		maxBatch:   f.cfg.MaxBatch,
-		queueSize:  f.cfg.QueueSize,
-		maxWait:    f.cfg.MaxWait,
-		shedDepth:  f.cfg.ShedDepth,
-		flushDepth: f.cfg.FlushDepth,
-	}
-	for i := range g.replicas {
-		if f.cfg.PinCores {
-			// Stored one-based (see coTuning.pinCPU); core assignment wraps
-			// when the fleet outgrows the machine.
-			tuning.pinCPU = 1 + int(f.nextPin.Add(1)-1)%runtime.NumCPU()
-		}
-		g.replicas[i] = &replica{
-			name:        name,
-			version:     version,
-			idx:         i,
-			det:         det,
-			co:          newCoalescer(det, tuning, stats),
-			cache:       newResultCache(f.cfg.CacheSize),
-			stats:       stats,
-			maxInflight: f.cfg.MaxInflight,
-		}
-	}
-	return g
-}
-
 // Load adds a new shard under a name not currently in the fleet and
 // returns its version. Use Swap to replace an existing shard.
 func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
@@ -302,11 +123,9 @@ func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
 }
 
 // Swap atomically replaces the detector behind an existing shard name and
-// returns the new version. The replacement is a whole fresh replica group
-// (new coalescers, new empty result caches); every old replica's coalescer
-// drains its queued requests on the old detector before Swap returns, so a
-// swap under load loses nothing — racing requests re-resolve onto the new
-// version.
+// returns the new version. The replacement starts with a new empty result
+// cache; requests that resolved the old version finish on it, so a swap
+// under load loses nothing.
 func (f *Fleet) Swap(name string, det *detector.Detector) (uint64, error) {
 	return f.SwapCause(name, det, "swap")
 }
@@ -345,11 +164,11 @@ func (f *Fleet) LastSwapCause() string {
 // an explicit-model request). The retraining controller uses it to seed
 // baselines and training options from the exact model being served.
 func (f *Fleet) Detector(name string) (*detector.Detector, error) {
-	g, err := f.resolve(name, "")
+	sh, err := f.resolve(name, "")
 	if err != nil {
 		return nil, err
 	}
-	return g.det, nil
+	return sh.det, nil
 }
 
 // maxRetiredNames bounds how many unloaded shard names keep their version
@@ -388,7 +207,7 @@ func (f *Fleet) installCause(name string, det *detector.Detector, mode installMo
 		f.mu.Unlock()
 		return 0, false, ErrClosed
 	}
-	old, exists := f.shards[name]
+	_, exists := f.shards[name]
 	switch mode {
 	case installNew:
 		if exists {
@@ -411,7 +230,14 @@ func (f *Fleet) installCause(name string, det *detector.Detector, mode installMo
 		stats = &shardStats{}
 		f.statsByName[name] = stats
 	}
-	f.shards[name] = f.newGroup(name, v, det, stats)
+	f.shards[name] = &shard{
+		name:        name,
+		version:     v,
+		det:         det,
+		cache:       newResultCache(f.cfg.CacheSize),
+		stats:       stats,
+		maxInflight: int64(f.cfg.MaxInflight),
+	}
 	if exists {
 		// A swap keeps the membership: names and ring are unchanged, so
 		// resolvers are only blocked for the pointer write + epoch bump.
@@ -421,26 +247,20 @@ func (f *Fleet) installCause(name string, det *detector.Detector, mode installMo
 		f.rebuildLocked()
 	}
 	f.mu.Unlock()
-	if exists {
-		// Drain outside the lock: queued requests finish on the detector
-		// they were accepted for while new traffic already routes to the
-		// replacement group.
-		old.close()
-	}
 	return v, exists, nil
 }
 
-// Unload removes a shard and drains its replicas' coalescers. The name's
-// version counter and cumulative stats are retained (up to maxRetiredNames
-// unloaded names), so reloading it later continues both sequences.
+// Unload removes a shard; requests that already resolved it still finish
+// on it. The name's version counter and cumulative stats are retained (up
+// to maxRetiredNames unloaded names), so reloading it later continues both
+// sequences.
 func (f *Fleet) Unload(name string) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	g, ok := f.shards[name]
-	if !ok {
+	if _, ok := f.shards[name]; !ok {
 		// Format while still holding the lock: f.names is mutated in
 		// place by rebuildLocked, so reading it after Unlock races
 		// concurrent membership changes.
@@ -465,7 +285,6 @@ func (f *Fleet) Unload(name string) error {
 		}
 	}
 	f.mu.Unlock()
-	g.close()
 	return nil
 }
 
@@ -478,16 +297,14 @@ func (f *Fleet) rebuildLocked() {
 		f.names = append(f.names, name)
 	}
 	sort.Strings(f.names)
-	f.ring = buildRing(f.names)
+	f.ring = ring.New(f.names, ring.DefaultVNodes)
 	f.epoch++
 }
 
-// resolve picks the replica group for a request. Precedence: an explicit
-// model name wins; otherwise a non-empty device key routes through the
-// consistent-hash ring; otherwise the default model serves. Replica
-// selection within the group is the caller's second step (group.pick for
-// assessment traffic, group.home for sessions).
-func (f *Fleet) resolve(model, device string) (*group, error) {
+// resolve picks the shard for a request. Precedence: an explicit model
+// name wins; otherwise a non-empty device key routes through the
+// consistent-hash ring; otherwise the default model serves.
+func (f *Fleet) resolve(model, device string) (*shard, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {
@@ -498,7 +315,7 @@ func (f *Fleet) resolve(model, device string) (*group, error) {
 	}
 	name := model
 	if name == "" && device != "" {
-		name = f.ring.lookup(device)
+		name = f.ring.Lookup(device)
 	}
 	if name == "" {
 		name = f.defaultLocked()
@@ -506,24 +323,11 @@ func (f *Fleet) resolve(model, device string) (*group, error) {
 			return nil, fmt.Errorf("request must name a model or device (loaded: %v)", f.names)
 		}
 	}
-	g, ok := f.shards[name]
+	sh, ok := f.shards[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown model %q (loaded: %v)", name, f.names)
 	}
-	return g, nil
-}
-
-// resolveReplica is the full two-level pick for assessment traffic: name
-// to group (explicit model / device ring / default), then group to replica
-// (home affinity with load-aware spill). The middle return reports whether
-// the request spilled away from its home replica.
-func (f *Fleet) resolveReplica(model, device string) (*replica, bool, error) {
-	g, err := f.resolve(model, device)
-	if err != nil {
-		return nil, false, err
-	}
-	r, spilled := g.pick(device)
-	return r, spilled, nil
+	return sh, nil
 }
 
 // defaultLocked names the shard serving model-less, device-less requests:
@@ -582,13 +386,12 @@ func (f *Fleet) ModelsWithEpoch() (uint64, []ModelInfo) {
 	def := f.defaultLocked()
 	out := make([]ModelInfo, 0, len(f.names))
 	for _, name := range f.names {
-		g := f.shards[name]
+		sh := f.shards[name]
 		out = append(out, ModelInfo{
-			Name:     name,
-			Version:  g.version,
-			Replicas: len(g.replicas),
-			Default:  name == def,
-			Info:     g.det.Info(),
+			Name:    name,
+			Version: sh.version,
+			Default: name == def,
+			Info:    sh.det.Info(),
 		})
 	}
 	return f.epoch, out
@@ -601,53 +404,29 @@ func (f *Fleet) Stats() []ShardStats {
 }
 
 // StatsWithEpoch returns the counter snapshot together with the epoch of
-// the same consistent view — the pair /stats reports. Per-replica gauges
-// (queue depth, in-flight load, served share, cache occupancy) are read
-// under the same registry lock, so the whole snapshot describes one fleet
-// generation.
+// the same consistent view — the pair /stats reports. The live gauges (in
+// flight, cache occupancy) are read under the same registry lock, so the
+// whole snapshot describes one fleet generation.
 func (f *Fleet) StatsWithEpoch() (uint64, []ShardStats) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	out := make([]ShardStats, 0, len(f.names))
 	for _, name := range f.names {
-		g := f.shards[name]
-		st := g.stats.snapshot(name)
-		st.Version = g.version
-		st.Replicas = make([]ReplicaStats, len(g.replicas))
-		entries := 0
-		for i, r := range g.replicas {
-			n := r.cache.len()
-			entries += n
-			st.Replicas[i] = ReplicaStats{
-				Replica:      i,
-				QueueDepth:   r.co.queueDepth(),
-				Inflight:     r.load(),
-				Served:       r.served.Load(),
-				CacheEntries: n,
-			}
-		}
-		st.CacheEntries = entries
+		sh := f.shards[name]
+		st := sh.stats.snapshot(name)
+		st.Version = sh.version
+		st.CacheEntries = sh.cache.len()
 		out = append(out, st)
 	}
 	return f.epoch, out
 }
 
-// Close stops every replica's coalescer after draining queued requests and
-// rejects all future mutations and resolves. Safe to call more than once.
-// The HTTP listener should be shut down first so no new requests arrive.
+// Close rejects all future mutations and resolves; requests that already
+// resolved a shard finish on it. Safe to call more than once. The HTTP
+// listener should be shut down first so every accepted request completes
+// (and reaches the verdict store) before its owner closes the store.
 func (f *Fleet) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
 	f.closed = true
-	groups := make([]*group, 0, len(f.shards))
-	for _, g := range f.shards {
-		groups = append(groups, g)
-	}
 	f.mu.Unlock()
-	for _, g := range groups {
-		g.close()
-	}
 }

@@ -219,9 +219,10 @@ func TestFleetStatsSurviveSwapCacheDoesNot(t *testing.T) {
 
 // TestSwapUnderLoadIsLossless is the hot-lifecycle acceptance e2e: a Swap
 // in the middle of sustained concurrent load must lose zero in-flight
-// requests (every response 200, element-wise valid), and once the swap
-// returns, subsequent responses must carry the new shard version and the
-// new detector's decisions.
+// requests (every response 200 and element-wise identical to the verdict
+// of the version it reports), and once the swap returns, subsequent
+// responses must carry the new shard version and the new detector's
+// decisions.
 func TestSwapUnderLoadIsLossless(t *testing.T) {
 	d, X := testDetector(t)
 	strict, err := d.WithOptions(detector.WithThreshold(0))
@@ -229,10 +230,7 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{
-		MaxBatch:  8,
-		MaxWait:   time.Millisecond,
-		QueueSize: 4096,
-		CacheSize: -1, // every request exercises the coalescer + swap race
+		CacheSize: -1, // every request exercises the assess + swap race
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,14 +277,23 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
+				var byVersion *detector.Detector
 				switch got.Version {
 				case 1:
 					sawV1.Add(1)
+					byVersion = d
 				case 2:
 					sawV2.Add(1)
+					byVersion = strict
 				default:
 					failures.Add(1)
 					t.Errorf("worker %d: impossible version %d", w, got.Version)
+					return
+				}
+				if want, err := byVersion.Assess(x); err != nil || got.Decision != want.Decision.String() ||
+					got.Entropy != want.Entropy || got.Prediction != want.Prediction {
+					failures.Add(1)
+					t.Errorf("worker %d request %d: v%d answered %+v, want %+v (%v)", w, i, got.Version, got, want, err)
 					return
 				}
 				if got.Version < lastVersion {
@@ -314,6 +321,9 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 		t.Fatal("no response carried the new shard version (swap happened after all load?)")
 	}
 	t.Logf("swap under load: %d v1 responses, %d v2 responses, 0 failures", sawV1.Load(), sawV2.Load())
+	if st := f.Stats()[0]; st.Requests != workers*perWorker || st.Errors != 0 || st.Shed != 0 || st.Inflight != 0 {
+		t.Fatalf("stats after the swap: %+v, want %d requests, no errors, sheds or work in flight", st, workers*perWorker)
+	}
 
 	// After the swap has returned, every response must be the new version
 	// with the new detector's decision. Threshold 0 rejects anything with
@@ -382,10 +392,10 @@ func TestDeviceRouting(t *testing.T) {
 
 	// A device key routes deterministically: repeats stick to one shard,
 	// and the shard matches the ring's prediction.
-	ring := buildRing([]string{"normal", "strict"})
+	rg := buildRing([]string{"normal", "strict"})
 	for i := 0; i < 8; i++ {
 		device := fmt.Sprintf("host-%d", i)
-		want := ring.lookup(device)
+		want := rg.Lookup(device)
 		first := assess(AssessRequest{Device: device, Features: X[i%len(X)]})
 		if first.Model != want {
 			t.Fatalf("device %q routed to %q, ring says %q", device, first.Model, want)
@@ -420,7 +430,7 @@ func TestDeviceRouting(t *testing.T) {
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
-	if batch.Model != ring.lookup("host-0") {
+	if batch.Model != rg.Lookup("host-0") {
 		t.Fatalf("batch device routing diverged: %+v", batch)
 	}
 }

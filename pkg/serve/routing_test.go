@@ -3,25 +3,30 @@ package serve
 import (
 	"fmt"
 	"testing"
+
+	"trusthmd/pkg/cluster/ring"
 )
+
+// buildRing is the fleet's device-routing ring over the given shard names.
+func buildRing(names []string) *ring.Ring { return ring.New(names, ring.DefaultVNodes) }
 
 func TestRingDeterministicAndOrderless(t *testing.T) {
 	a := buildRing([]string{"alpha", "beta", "gamma"})
 	b := buildRing([]string{"gamma", "alpha", "beta"})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("device-%d", i)
-		if a.lookup(key) != b.lookup(key) {
+		if a.Lookup(key) != b.Lookup(key) {
 			t.Fatalf("ring depends on construction order for %q", key)
 		}
-		if a.lookup(key) != a.lookup(key) {
+		if a.Lookup(key) != a.Lookup(key) {
 			t.Fatalf("lookup not deterministic for %q", key)
 		}
 	}
 	if buildRing(nil) != nil {
 		t.Fatal("empty ring should be nil")
 	}
-	var nilRing *hashRing
-	if nilRing.lookup("x") != "" {
+	var nilRing *ring.Ring
+	if nilRing.Lookup("x") != "" {
 		t.Fatal("nil ring lookup should return empty")
 	}
 }
@@ -32,7 +37,7 @@ func TestRingSpreadsDevices(t *testing.T) {
 	counts := map[string]int{}
 	const n = 4000
 	for i := 0; i < n; i++ {
-		counts[r.lookup(fmt.Sprintf("device-%d", i))]++
+		counts[r.Lookup(fmt.Sprintf("device-%d", i))]++
 	}
 	for _, name := range names {
 		share := float64(counts[name]) / n
@@ -55,7 +60,7 @@ func TestRingMinimalRemapping(t *testing.T) {
 	moved := 0
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("device-%d", i)
-		was, is := before.lookup(key), after.lookup(key)
+		was, is := before.Lookup(key), after.Lookup(key)
 		if was == "d" {
 			if is == "d" {
 				t.Fatalf("device %q still routes to the removed shard", key)
@@ -68,76 +73,5 @@ func TestRingMinimalRemapping(t *testing.T) {
 	}
 	if moved != 0 {
 		t.Fatalf("%d devices moved between surviving shards (consistent hashing should move none)", moved)
-	}
-}
-
-// TestReplicaRingMinimalRemap is the same property one level down, as a
-// sweep over group sizes: growing a replica group from n to n+1 must send
-// devices ONLY to the new replica (survivors keep their home slot and
-// their warm caches), and shrinking back must remap only the removed
-// replica's devices.
-func TestReplicaRingMinimalRemap(t *testing.T) {
-	const devices = 2000
-	for n := 2; n <= 8; n++ {
-		small := buildReplicaRing(n)
-		big := buildReplicaRing(n + 1)
-		gained, moved := 0, 0
-		for i := 0; i < devices; i++ {
-			key := fmt.Sprintf("device-%d", i)
-			was, is := small.lookupReplica(key), big.lookupReplica(key)
-			if is == n {
-				gained++ // picked up by the added replica — the only legal move
-				continue
-			}
-			if was != is {
-				moved++
-			}
-		}
-		if moved != 0 {
-			t.Fatalf("grow %d->%d: %d devices moved between surviving replicas", n, n+1, moved)
-		}
-		if gained == 0 {
-			t.Fatalf("grow %d->%d: the new replica picked up no devices", n, n+1)
-		}
-		// Shrink is the same comparison read backwards: devices homed on the
-		// removed replica must land elsewhere, everyone else must stay put.
-		for i := 0; i < devices; i++ {
-			key := fmt.Sprintf("device-%d", i)
-			was, is := big.lookupReplica(key), small.lookupReplica(key)
-			if was == n {
-				if is == n {
-					t.Fatalf("shrink %d->%d: device %q still routes to the removed replica", n+1, n, key)
-				}
-				continue
-			}
-			if was != is {
-				t.Fatalf("shrink %d->%d: device %q moved between surviving replicas (%d -> %d)", n+1, n, key, was, is)
-			}
-		}
-	}
-}
-
-// TestReplicaRingSpreads: every replica in a group takes a meaningful
-// share of the device space (no starved slot, no hog).
-func TestReplicaRingSpreads(t *testing.T) {
-	const n = 3
-	r := buildReplicaRing(n)
-	counts := make([]int, n)
-	const devices = 3000
-	for i := 0; i < devices; i++ {
-		counts[r.lookupReplica(fmt.Sprintf("device-%d", i))]++
-	}
-	for idx, c := range counts {
-		share := float64(c) / devices
-		if share < 0.10 || share > 0.60 {
-			t.Fatalf("replica %d homes %.1f%% of devices: %v", idx, 100*share, counts)
-		}
-	}
-	if buildReplicaRing(1) != nil {
-		t.Fatal("single-replica group should have a nil ring")
-	}
-	var nilRing *hashRing
-	if nilRing.lookupReplica("x") != 0 {
-		t.Fatal("nil ring must home everything on replica 0")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"trusthmd/internal/gen"
 	"trusthmd/pkg/detector"
@@ -49,13 +48,21 @@ func testDetector(t testing.TB) (*detector.Detector, [][]float64) {
 	return testDet, testX
 }
 
-func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
+// mountFleet builds a fleet over the given detectors and mounts the HTTP
+// transport over it.
+func mountFleet(t testing.TB, models map[string]*detector.Detector, cfg Config) *Server {
 	t.Helper()
-	d, _ := testDetector(t)
-	s, err := New(map[string]*detector.Detector{"dvfs-rf": d}, cfg)
+	f, err := NewFleet(models, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewServer(f)
+}
+
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	d, _ := testDetector(t)
+	s := mountFleet(t, map[string]*detector.Detector{"dvfs-rf": d}, cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -84,12 +91,11 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 
 // TestAssessCoalescedMatchesSequential is the acceptance test of the
 // serving layer: N concurrent /v1/assess requests must return decisions
-// element-wise identical to direct sequential Assess, and /stats must show
-// a mean batch size above 1 — proof that the identical answers really went
-// through coalesced AssessBatch calls.
+// element-wise identical to direct sequential Assess, each request
+// counted once, one detector call apiece.
 func TestAssessCoalescedMatchesSequential(t *testing.T) {
 	d, X := testDetector(t)
-	s, ts := newTestServer(t, Config{MaxBatch: 16, MaxWait: 10 * time.Millisecond})
+	s, ts := newTestServer(t, Config{CacheSize: -1})
 
 	const n = 96
 	want := make([]detector.Result, n)
@@ -159,11 +165,10 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 	if st[0].Requests != n {
 		t.Fatalf("stats requests %d, want %d", st[0].Requests, n)
 	}
-	if st[0].MeanBatchSize <= 1 {
-		t.Fatalf("no coalescing happened: mean batch size %.2f over %d batches",
-			st[0].MeanBatchSize, st[0].Batches)
+	if st[0].Batches != n || st[0].MeanBatchSize != 1 {
+		t.Fatalf("want one detector call per request: %d batches, mean batch size %.2f",
+			st[0].Batches, st[0].MeanBatchSize)
 	}
-	t.Logf("coalesced %d requests into %d batches (mean %.1f)", st[0].Requests, st[0].Batches, st[0].MeanBatchSize)
 
 	// The /stats endpoint serves the same snapshot.
 	resp, err := http.Get(ts.URL + "/stats")
@@ -346,10 +351,7 @@ func TestModelsAndHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(map[string]*detector.Detector{"a": d, "b": tuned}, Config{DefaultModel: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mountFleet(t, map[string]*detector.Detector{"a": d, "b": tuned}, Config{DefaultModel: "b"})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -387,10 +389,7 @@ func TestModelsAndHealthz(t *testing.T) {
 	}
 
 	// Two shards and no default: a model-less request must be refused.
-	s2, err := New(map[string]*detector.Detector{"a": d, "b": tuned}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := mountFleet(t, map[string]*detector.Detector{"a": d, "b": tuned}, Config{})
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
@@ -408,10 +407,7 @@ func TestRoutingByModelName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(map[string]*detector.Detector{"normal": d, "strict": strict}, Config{DefaultModel: "normal"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mountFleet(t, map[string]*detector.Detector{"normal": d, "strict": strict}, Config{DefaultModel: "normal"})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -446,13 +442,10 @@ func TestRoutingByModelName(t *testing.T) {
 
 func TestShutdownShedsNewRequests(t *testing.T) {
 	d, X := testDetector(t)
-	s, err := New(map[string]*detector.Detector{"m": d}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mountFleet(t, map[string]*detector.Detector{"m": d}, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	s.Close() // drain coalescers; handler must now shed with 503
+	s.Close() // close the fleet; handler must now shed with 503
 	resp, body := postJSON(t, ts.URL+"/v1/assess", AssessRequest{Features: X[0]})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown status %d: %s", resp.StatusCode, body)
@@ -463,16 +456,32 @@ func TestShutdownShedsNewRequests(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	d, _ := testDetector(t)
-	if _, err := New(nil, Config{}); err == nil {
-		t.Fatal("expected no-models error")
-	}
-	if _, err := New(map[string]*detector.Detector{"": d}, Config{}); err == nil {
+	if _, err := NewFleet(map[string]*detector.Detector{"": d}, Config{}); err == nil {
 		t.Fatal("expected empty-name error")
 	}
-	if _, err := New(map[string]*detector.Detector{"m": nil}, Config{}); err == nil {
+	if _, err := NewFleet(map[string]*detector.Detector{"m": nil}, Config{}); err == nil {
 		t.Fatal("expected nil-detector error")
 	}
-	if _, err := New(map[string]*detector.Detector{"m": d}, Config{DefaultModel: "other"}); err == nil {
+	if _, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{DefaultModel: "other"}); err == nil {
 		t.Fatal("expected unknown-default error")
+	}
+	// An empty fleet is valid: it answers 404s until a model is loaded.
+	f, err := NewFleet(nil, Config{})
+	if err != nil {
+		t.Fatalf("empty fleet: %v", err)
+	}
+	f.Close()
+}
+
+// detectorInfoSanity guards the Info surface the daemon's /v1/models
+// endpoint depends on.
+func TestDetectorInfoSurface(t *testing.T) {
+	d, X := testDetector(t)
+	info := d.Info()
+	if info.Model != "rf" || info.Members != 11 || info.InputDim != len(X[0]) {
+		t.Fatalf("info: %+v", info)
+	}
+	if info.Diversity != "bootstrap" {
+		t.Fatalf("diversity: %q", info.Diversity)
 	}
 }

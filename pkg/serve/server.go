@@ -1,6 +1,6 @@
 // Package serve is the HTTP serving layer of the trusted HMD: a mutable,
 // versioned fleet of named detector shards (Fleet) exposed through a thin
-// HTTP transport (Server) with per-shard request coalescing, cross-request
+// HTTP transport (Server) with per-shard admission control, cross-request
 // result caching, consistent-hash device routing, NDJSON streaming and a
 // hot model-lifecycle admin surface.
 //
@@ -22,33 +22,21 @@
 // membership change only remaps the devices nearest the changed shard);
 // otherwise the default model serves.
 //
-// Each shard name resolves to a replica group of Config.Replicas
-// independent instances (own coalescer, own queue, own result cache) over
-// one shared detector. Within the group a second consistent-hash level
-// picks a *home* replica per device — cache and session affinity — and
-// when the home replica's load crosses Config.SpillDepth, power-of-two-
-// choices spills the request to the least-loaded sibling. Admission
-// control bounds each replica: Config.MaxInflight caps concurrent work
-// and Config.ShedDepth sheds on queue depth; both assessment endpoints
-// answer a shed with 503 + Retry-After. /stats reports shed and spill
-// totals plus per-replica queue-depth/in-flight/served gauges.
+// There is no queue: every request assesses on its own handler goroutine
+// in a pooled scratch arena. One in-flight gauge per shard is the only
+// admission signal — Config.MaxInflight caps the samples assessing at
+// once across /v1/assess and /v1/assess/batch, and both endpoints answer
+// a shed with 503 + Retry-After. /stats reports the live gauge, the shed
+// counts and a fleet-wide shed_total.
 //
-// Concurrent /v1/assess requests are coalesced: each replica owns a
-// bounded queue and a flusher goroutine that drains waiting requests into
-// a single AssessBatch call when the batch fills, the oldest request has
-// waited Config.MaxWait, or the backlog crosses Config.FlushDepth (the
-// latency-aware early flush). Results are element-wise identical to
-// direct Assess — batching changes latency and throughput, never
-// decisions.
-//
-// Each replica additionally owns a bounded cross-request result cache
-// (LRU keyed on the feature-vector hash, Config.CacheSize): telemetry
-// streams repeat vectors heavily, and a repeat is answered from the cache
-// without queueing or assessing at all. Detectors are deterministic, so
-// cached verdicts are bit-identical to recomputed ones; /stats exposes
-// hit, miss and occupancy counters per shard. A hot swap replaces the
-// caches along with the detector — a stale cache must never answer for a
-// retired model version.
+// Each shard additionally owns a bounded cross-request result cache (LRU
+// keyed on the feature-vector hash, Config.CacheSize): telemetry streams
+// repeat vectors heavily, and a repeat is answered from the cache without
+// assessing at all. Detectors are deterministic, so cached verdicts are
+// bit-identical to recomputed ones; /stats exposes hit, miss and
+// occupancy counters per shard. A hot swap replaces the cache along with
+// the detector — a stale cache must never answer for a retired model
+// version.
 package serve
 
 import (
@@ -69,49 +57,12 @@ import (
 
 // Config tunes the serving layer; the zero value gets sane defaults.
 type Config struct {
-	// MaxBatch is the coalescer flush size (default 32). Larger batches
-	// amortise projection further but add queueing latency under load.
-	MaxBatch int
-	// MaxWait is the max time the first request of a batch waits for
-	// company before the batch flushes anyway (default 2ms).
-	MaxWait time.Duration
-	// QueueSize bounds each replica's pending-request buffer (default
-	// 1024); requests beyond it are shed with 503.
-	QueueSize int
-	// Replicas is the number of independent shard instances per name
-	// (default 1; clamped to 64). Each replica owns its coalescer, queue
-	// and result cache over the group's shared detector; devices keep a
-	// consistent-hash home replica and overflow spills to the least-loaded
-	// sibling.
-	Replicas int
-	// PinCores pins each replica's flusher thread to its own CPU core,
-	// assigned round-robin across the fleet (sched_setaffinity on Linux,
-	// no-op elsewhere). With per-replica scratch arenas this keeps every
-	// replica's hot projection and vote buffers resident in one core's
-	// cache and stops flushers from migrating under load. Best with
-	// Replicas x shards <= NumCPU; assignment wraps beyond that. Verdicts
-	// are unaffected — pinning changes locality, never results.
-	PinCores bool
-	// MaxInflight caps one replica's concurrent work — coalesced requests
-	// accepted and not yet answered plus client-batch samples assessing.
-	// Beyond it requests shed with 503 + Retry-After. 0 means unbounded.
+	// MaxInflight caps one shard's concurrent work, counted in samples:
+	// /v1/assess requests assessing plus client-batch samples. Beyond it
+	// both endpoints shed with 503 + Retry-After; an idle shard still
+	// admits one batch of any size. 0 means the default of 1024; negative
+	// means unbounded.
 	MaxInflight int
-	// ShedDepth sheds new requests once a replica's queue holds this many
-	// waiting — admission control ahead of the hard QueueSize bound, so
-	// overload answers fast instead of maximising queueing latency.
-	// Default: QueueSize (shed only when the queue is actually full);
-	// clamped to QueueSize.
-	ShedDepth int
-	// SpillDepth is the home-replica load at which device-keyed requests
-	// spill to the least-loaded sibling (power-of-two-choices). Default:
-	// MaxBatch — a home replica with a full batch in flight is busy enough
-	// to share. Negative disables spilling. Irrelevant for Replicas=1.
-	SpillDepth int
-	// FlushDepth is the latency-aware flush watermark: once this many
-	// requests queue behind the batch being collected, the coalescer stops
-	// waiting out MaxWait and flushes what is immediately available.
-	// Default: MaxBatch. Negative disables (size/timer flushes only).
-	FlushDepth int
 	// MaxBatchSamples caps the size of a client-supplied /v1/assess/batch
 	// body (default 4096 vectors).
 	MaxBatchSamples int
@@ -131,7 +82,7 @@ type Config struct {
 	// keyed on the feature-vector hash; see /stats cache_hits and
 	// cache_misses). 0 means the default of 4096 entries; negative
 	// disables caching. Telemetry streams repeat vectors heavily, so hits
-	// skip coalescing and assessment entirely; answers are bit-identical
+	// skip admission and assessment entirely; answers are bit-identical
 	// either way because a trained detector is deterministic.
 	CacheSize int
 	// AdminToken guards the mutating admin endpoints (POST /v1/models,
@@ -165,42 +116,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 1024
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
-	if c.Replicas > 64 {
-		c.Replicas = 64
-	}
-	if c.MaxInflight < 0 {
-		c.MaxInflight = 0
-	}
 	switch {
-	case c.ShedDepth <= 0, c.ShedDepth > c.QueueSize:
-		// Shedding at (or beyond) the hard channel bound is the legacy
-		// behavior: refuse only what cannot be buffered at all.
-		c.ShedDepth = c.QueueSize
-	}
-	switch {
-	case c.SpillDepth == 0:
-		c.SpillDepth = c.MaxBatch
-	case c.SpillDepth < 0:
-		// Never spill: a home replica keeps its devices no matter how hot.
-		c.SpillDepth = int(^uint(0) >> 1)
-	}
-	switch {
-	case c.FlushDepth == 0:
-		c.FlushDepth = c.MaxBatch
-	case c.FlushDepth < 0:
-		c.FlushDepth = 0 // disabled: size/timer flushes only
+	case c.MaxInflight == 0:
+		c.MaxInflight = 1024
+	case c.MaxInflight < 0:
+		c.MaxInflight = 0 // unbounded
 	}
 	if c.MaxBatchSamples <= 0 {
 		c.MaxBatchSamples = 4096
@@ -226,15 +146,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxSwapRetries bounds how many times a request re-resolves after losing
-// the race with a hot swap (its shard's coalescer closed between resolve
-// and submit). One retry suffices in practice; the bound is paranoia
-// against a pathological swap storm.
-const maxSwapRetries = 4
-
 // Server is the HTTP transport over a Fleet. Create it with NewServer,
-// mount it as an http.Handler, and Close it on shutdown to drain the
-// fleet's coalescers.
+// mount it as an http.Handler, and Close it on shutdown to close the
+// fleet.
 type Server struct {
 	fleet *Fleet
 	mux   *http.ServeMux
@@ -278,23 +192,6 @@ func (s *Server) AttachIngest(p *ingest.Pump) { s.pump.Store(p) }
 // reports its trigger count and state.
 func (s *Server) AttachRetrain(c *RetrainController) { s.retrain.Store(c) }
 
-// New builds a server over the given named detectors.
-//
-// Deprecated: New freezes the fleet shape at construction. Build a Fleet
-// with NewFleet (mutable: Load/Swap/Unload while serving) and mount it
-// with NewServer; New remains as a thin wrapper doing exactly that, and
-// still requires at least one model for compatibility.
-func New(models map[string]*detector.Detector, cfg Config) (*Server, error) {
-	if len(models) == 0 {
-		return nil, errors.New("serve: no models to serve")
-	}
-	f, err := NewFleet(models, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewServer(f), nil
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -308,8 +205,8 @@ func (s *Server) Fleet() *Fleet { return s.fleet }
 // with) Shutdown; Close implies it.
 func (s *Server) BeginDrain() { s.drainOnce.Do(func() { close(s.draining) }) }
 
-// Close closes the underlying fleet, draining every shard's coalescer.
-// The HTTP listener should be shut down first so no new requests arrive.
+// Close ends open streams and closes the underlying fleet. The HTTP
+// listener should be shut down first so no new requests arrive.
 func (s *Server) Close() {
 	s.BeginDrain()
 	s.fleet.Close()
@@ -342,19 +239,15 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Model = shard
 	}
-	// Hand the scratch vote buffer to the assessment: the coalescer copies
-	// the verdict's vote distribution into it instead of allocating. The
-	// buffer's ownership rides with the request — on any error after
-	// enqueue the flusher may still write into it, so it is recovered only
-	// from a successful outcome and abandoned otherwise.
-	voteBuf := sc.votes
-	sc.votes = nil
+	// Hand the scratch vote buffer to the assessment: the verdict's vote
+	// distribution is copied into it instead of a fresh allocation, and
+	// the possibly-regrown buffer comes back with a successful outcome.
 	out, err := s.fleet.Assess(r.Context(), AssessSpec{
 		Model:    req.Model,
 		Device:   req.Device,
 		Features: req.Features,
 		Source:   "assess",
-		VoteBuf:  voteBuf,
+		VoteBuf:  sc.votes,
 	})
 	if err != nil {
 		writeAssessError(w, err)
@@ -387,7 +280,7 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Model = shard
 	}
-	g, err := s.fleet.resolve(req.Model, req.Device)
+	sh, err := s.fleet.resolve(req.Model, req.Device)
 	if err != nil {
 		writeResolveError(w, err)
 		return
@@ -401,7 +294,7 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Batch), s.fleet.cfg.MaxBatchSamples))
 		return
 	}
-	dim := g.det.InputDim()
+	dim := sh.det.InputDim()
 	for i, x := range req.Batch {
 		if err := validateFeatures(x, dim); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("batch[%d]: %v", i, err))
@@ -409,16 +302,14 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n := len(req.Batch)
-	// A client batch is one admission unit on one replica: load-aware pick,
-	// then reserve capacity up front so the coalesced path observes batch
-	// work in its load gauge. An overloaded replica sheds the whole batch
-	// with the same 503 + Retry-After as /v1/assess.
-	sh, _ := g.pick(req.Device)
-	if err := sh.admitBatch(n); err != nil {
+	// A client batch is one admission unit: its samples are reserved up
+	// front in the shard's in-flight gauge, and a shard at its cap sheds
+	// the whole batch with the same 503 + Retry-After as /v1/assess.
+	if err := sh.admit(n); err != nil {
 		writeAssessError(w, err)
 		return
 	}
-	defer sh.releaseBatch(n)
+	defer sh.release(n)
 	// The client already aggregated; consult the cross-request cache per
 	// vector and go straight to the batched path for the misses only.
 	// With the cache disabled, every row is a "miss" without hashing or
@@ -467,7 +358,6 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sh.stats.batchRequests.Add(1)
 	sh.stats.batchSamples.Add(int64(n))
-	sh.served.Add(int64(n))
 	sh.stats.observe(results)
 	// Tap every row into the verdict store (latency is the whole batch's
 	// serving time — the rows were answered together).

@@ -8,7 +8,7 @@ import (
 )
 
 // ShardStats is the serving snapshot of one model shard, exposed by
-// GET /stats. Counters cover the coalesced single-assess path, the
+// GET /stats. Counters cover the single-assess path, the
 // client-batched path and the NDJSON streaming path; they are cumulative
 // across hot swaps of the shard (Version tells versions apart, the cache
 // occupancy restarts per version because the cache itself does).
@@ -17,35 +17,31 @@ type ShardStats struct {
 	// Version is the shard version currently serving this name.
 	Version uint64 `json:"version"`
 
-	// Requests counts accepted /v1/assess requests (queue-full shedding
-	// excluded, see Shed).
+	// Requests counts served /v1/assess verdicts, cache hits included
+	// (sheds excluded, see Shed).
 	Requests int64 `json:"requests"`
 	// BatchRequests / BatchSamples count /v1/assess/batch traffic.
 	BatchRequests int64 `json:"batch_requests"`
 	BatchSamples  int64 `json:"batch_samples"`
-	// Batches is the number of coalesced AssessBatch flushes. MeanBatchSize
-	// is the mean over requests that actually queued: Requests minus the
-	// /v1/assess cache hits (hits were answered without queueing; batch
-	// endpoint hits never counted into Requests), divided by Batches —
-	// above 1 means coalescing is doing its job.
+	// Batches counts detector calls on the /v1/assess path (one per
+	// request that missed the cache). MeanBatchSize is Requests minus the
+	// /v1/assess cache hits, divided by Batches: every request assesses
+	// alone, so it reads 1.
 	Batches       int64   `json:"batches"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
-	// Shed counts requests rejected by admission control — the replica's
-	// queue hit its shed watermark (or the hard channel bound) or its
+	// Shed counts requests rejected by admission control — the shard's
 	// in-flight cap was exhausted; every shed answered 503 + Retry-After.
 	// Errors counts failed assessments.
 	Shed   int64 `json:"shed"`
 	Errors int64 `json:"errors"`
-	// Spills counts device-keyed requests routed away from their home
-	// replica to a less-loaded sibling (power-of-two-choices overflow);
-	// EarlyFlushes counts coalescer batches flushed by the latency-aware
-	// backlog watermark instead of the size/timer triggers.
-	Spills       int64 `json:"spills"`
-	EarlyFlushes int64 `json:"early_flushes"`
+	// Inflight is the live admission gauge: samples assessing right now
+	// on both assessment endpoints (an instantaneous value, not a
+	// counter).
+	Inflight int64 `json:"inflight"`
 
 	// CacheHits / CacheMisses count cross-request result-cache lookups on
 	// both assessment endpoints: a hit is served straight from the
-	// per-shard LRU (no coalescing, no detector work) with a bit-identical
+	// per-shard LRU (no admission, no detector work) with a bit-identical
 	// verdict. CacheEntries is the current number of cached vectors.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
@@ -68,47 +64,19 @@ type ShardStats struct {
 	Malware       int     `json:"malware"`
 	Rejected      int     `json:"rejected"`
 	RejectionRate float64 `json:"rejection_rate"`
-
-	// Replicas holds the live per-replica gauges of the group currently
-	// serving this name, indexed by replica slot. Unlike the counters
-	// above these are instantaneous, and they restart on a swap because
-	// the replicas themselves do.
-	Replicas []ReplicaStats `json:"replicas"`
-}
-
-// ReplicaStats is the live gauge set of one replica in a group, read
-// under the fleet's registry lock so the whole /stats snapshot describes
-// one fleet generation.
-type ReplicaStats struct {
-	// Replica is the slot index (0-based) — the home target of the
-	// within-group consistent-hash routing.
-	Replica int `json:"replica"`
-	// QueueDepth is the number of accepted requests waiting uncollected in
-	// this replica's coalescer queue.
-	QueueDepth int `json:"queue_depth"`
-	// Inflight is the replica's admission gauge: coalesced requests
-	// accepted and not yet settled plus client-batch samples assessing.
-	Inflight int64 `json:"inflight"`
-	// Served counts requests this replica answered (cache hits included) —
-	// compare across slots to read the spillover share.
-	Served int64 `json:"served"`
-	// CacheEntries is this replica's result-cache occupancy.
-	CacheEntries int `json:"cache_entries"`
 }
 
 // shardStats is the live counter set behind a ShardStats snapshot. The
 // request-path counters are atomics (hit concurrently by every handler);
-// the decision tally reuses detector.OnlineStats under a mutex, updated
-// once per flush rather than once per request.
+// the decision tally reuses detector.OnlineStats under a mutex.
 type shardStats struct {
 	requests        atomic.Int64
 	batchRequests   atomic.Int64
 	batchSamples    atomic.Int64
 	batches         atomic.Int64
 	shed            atomic.Int64
-	spills          atomic.Int64
-	earlyFlushes    atomic.Int64
 	errors          atomic.Int64
+	inflight        atomic.Int64
 	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
 	streamSessions  atomic.Int64
@@ -116,8 +84,8 @@ type shardStats struct {
 	streamDecisions atomic.Int64
 	streamCacheHits atomic.Int64
 	// cacheHitsSingle counts the subset of cacheHits from /v1/assess; only
-	// those were diverted from the coalescer queue, so only they are
-	// excluded from the mean-batch-size denominator.
+	// those count into requests without a detector call, so only they are
+	// excluded from the mean-batch-size numerator.
 	cacheHitsSingle atomic.Int64
 
 	mu        sync.Mutex
@@ -152,9 +120,8 @@ func (s *shardStats) snapshot(model string) ShardStats {
 		BatchSamples:    s.batchSamples.Load(),
 		Batches:         s.batches.Load(),
 		Shed:            s.shed.Load(),
-		Spills:          s.spills.Load(),
-		EarlyFlushes:    s.earlyFlushes.Load(),
 		Errors:          s.errors.Load(),
+		Inflight:        s.inflight.Load(),
 		CacheHits:       s.cacheHits.Load(),
 		CacheMisses:     s.cacheMisses.Load(),
 		StreamSessions:  s.streamSessions.Load(),
@@ -166,8 +133,8 @@ func (s *shardStats) snapshot(model string) ShardStats {
 		Rejected:        dec.Rejected,
 	}
 	if out.Batches > 0 {
-		if queued := out.Requests - s.cacheHitsSingle.Load(); queued > 0 {
-			out.MeanBatchSize = float64(queued) / float64(out.Batches)
+		if assessed := out.Requests - s.cacheHitsSingle.Load(); assessed > 0 {
+			out.MeanBatchSize = float64(assessed) / float64(out.Batches)
 		}
 	}
 	out.RejectionRate = dec.RejectedFraction()

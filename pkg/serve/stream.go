@@ -25,6 +25,16 @@ const streamWriteTimeout = 30 * time.Second
 // must stay well under any graceful-shutdown budget.
 const drainWriteGrace = time.Second
 
+// bodyDrainBytes / bodyDrainGrace bound the discard of a full-duplex
+// stream's unread request body when the handler returns early (a bad
+// line, a stopped reader): net/http must find the body consumed before it
+// reads the connection's next request, or that read races the body's. A
+// client still sending past either bound loses the connection instead.
+const (
+	bodyDrainBytes = 256 << 10
+	bodyDrainGrace = 250 * time.Millisecond
+)
+
 // POST /v1/assess/stream is the raw-telemetry transport: instead of
 // client-side feature extraction feeding /v1/assess, a client streams the
 // DVFS states themselves and the server runs the full online loop (sliding
@@ -98,6 +108,21 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 			return false
 		}
 	}
+	// fullDuplex records that the response started while the request body
+	// was still open (the local loop and the cluster proxy's Begin both
+	// set it); every return after that drains what the client sent and
+	// the handler never read.
+	fullDuplex := false
+	defer func() {
+		if !fullDuplex {
+			return
+		}
+		_ = rc.SetReadDeadline(time.Now().Add(bodyDrainGrace))
+		if drainingNow() {
+			_ = rc.SetReadDeadline(time.Now())
+		}
+		_, _ = io.CopyN(io.Discard, r.Body, bodyDrainBytes)
+	}()
 	// armIdle bounds the wait for the client's next line, so a silent
 	// connection cannot pin this goroutine (and its session) forever. The
 	// draining re-check after arming mirrors emit's: a drain firing in
@@ -164,6 +189,7 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 				},
 				HTTPError: func(code int, msg string) { writeError(w, code, msg) },
 				Begin: func() {
+					fullDuplex = true
 					_ = rc.EnableFullDuplex()
 					w.Header().Set("Content-Type", "application/x-ndjson")
 					w.WriteHeader(http.StatusOK)
@@ -176,17 +202,11 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 		}
 		hdr.Model = shard
 	}
-	g, err := s.fleet.resolve(hdr.Model, hdr.Device)
+	sh, err := s.fleet.resolve(hdr.Model, hdr.Device)
 	if err != nil {
 		writeResolveError(w, err)
 		return
 	}
-	// A session pins its home replica the way it pins the shard version: the
-	// device's consistent-hash slot (round-robin for device-less streams),
-	// chosen once at accept time. Streams run their own per-connection
-	// Session rather than the replica's coalescer, so the pin is affinity
-	// and accounting — a hot swap mid-stream changes neither.
-	sh := g.home(hdr.Device)
 	if hdr.Window > s.fleet.cfg.MaxStreamWindow {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("window %d exceeds limit %d", hdr.Window, s.fleet.cfg.MaxStreamWindow))
@@ -214,6 +234,7 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 	// HTTP/1.x half-closes the request body on the first response write;
 	// this stream writes decisions while states are still arriving, so it
 	// needs full duplex (a no-op error on transports that always have it).
+	fullDuplex = true
 	_ = rc.EnableFullDuplex()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
@@ -347,6 +349,54 @@ func TestStreamErrorPaths(t *testing.T) {
 			t.Fatalf("non-JSON 405 body: %s", body)
 		}
 	})
+}
+
+// TestStreamBadLineKeepAlive repeats streams that fail mid-body over one
+// keep-alive connection: an oversized line leaves request bytes the
+// handler never read after the response went full duplex, and a bad
+// sample line follows it. Unless the handler drains what it left unread,
+// net/http's read of the next request on the connection races the
+// body's and the connection resets.
+func TestStreamBadLineKeepAlive(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxStreamLineBytes: 512})
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	var reused int
+	trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
+		if info.Reused {
+			reused++
+		}
+	}}
+	bodies := []struct{ body, wantErr string }{
+		{`{"levels":8,"window":16}` + "\n" + `{"states":[` + strings.Repeat("1,", 400) + `1]}` + "\n", "exceeds 512 bytes"},
+		{`{"levels":8,"window":16}` + "\n" + `{"nope":1}` + "\n", "bad stream line"},
+	}
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		for _, c := range bodies {
+			req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+				http.MethodPost, ts.URL+"/v1/assess/stream", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("round %d: reading response: %v", i, err)
+			}
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), c.wantErr) {
+				t.Fatalf("round %d: status %d, body %s, want an error line with %q", i, resp.StatusCode, raw, c.wantErr)
+			}
+		}
+	}
+	if want := 2*rounds - 1; reused != want {
+		t.Fatalf("%d of %d follow-up requests reused the keep-alive connection", reused, want)
+	}
 }
 
 // TestStreamDrainEndsOpenStreams: BeginDrain must wind down a stream whose

@@ -14,8 +14,8 @@
 // and resumes the sequence number after the last durable record.
 //
 // Appends are group-committed: Append frames the record into an
-// in-memory pending group and returns; a background flusher (optionally
-// core-pinned) drains the whole group with one write syscall and fsyncs
+// in-memory pending group and returns; a background flusher drains the
+// whole group with one write syscall and fsyncs
 // the active segment on a timer, so the serving path never waits on the
 // disk. Query, Stats, Sync and Close commit the pending group first, so
 // a read always observes every Append that returned before it. The
@@ -38,13 +38,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
-
-	"trusthmd/internal/cpupin"
 )
 
 // Record is one served verdict. Seq is store-assigned and strictly
@@ -91,10 +88,6 @@ type Config struct {
 	// SyncInterval is the background fsync cadence of group-commit mode
 	// (default 100ms). Ignored when SyncEvery > 0.
 	SyncInterval time.Duration
-	// PinCPU, when nonzero, is 1 + the CPU core the group-commit flusher
-	// thread is pinned to (sched_setaffinity on Linux, no-op elsewhere).
-	// One-based so the zero value stays unpinned.
-	PinCPU int
 }
 
 func (c Config) withDefaults() Config {
@@ -506,12 +499,6 @@ func (s *Store) rotateLocked(firstSeq uint64) error {
 // channels are captured at start so Close can clear the Store fields.
 func (s *Store) flusher(signal, stop chan struct{}) {
 	defer s.wg.Done()
-	if s.cfg.PinCPU > 0 {
-		// Pin for the goroutine's lifetime; the locked thread dies with
-		// it, so the narrowed affinity mask never leaks.
-		runtime.LockOSThread()
-		cpupin.PinThread(s.cfg.PinCPU - 1)
-	}
 	ticker := time.NewTicker(s.cfg.SyncInterval)
 	defer ticker.Stop()
 	for {
