@@ -38,11 +38,11 @@ test-allocs:
 	$(GO) test -run TestAllocs -count=1 ./...
 
 # race runs the concurrency-heavy packages (batched assessment, request
-# admission, the dispatched kernels and their tree consumers) under the
-# race detector, then the same set again with SIMD forced off so both
-# dispatch arms get race coverage.
+# admission, the verdict store's group commit, the dispatched kernels and
+# their tree consumers) under the race detector, then the kernel set again
+# with SIMD forced off so both dispatch arms get race coverage.
 race:
-	$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/
+	$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/verdictstore/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/
 	TRUSTHMD_NOSIMD=1 $(GO) test -race ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
 
 vet:
@@ -54,11 +54,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# bench runs the figure/table benchmarks plus the component and serving
-# micro-benchmarks at the repository root and records a JSON snapshot
+# bench runs the figure/table benchmarks plus the component, serving and
+# verdict-store micro-benchmarks at the repository root and records a JSON snapshot
 # (BENCH_<rev>.json) so the performance trajectory is tracked per commit.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) . ./pkg/serve/ ./pkg/linalg/kernel/ \
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) . ./pkg/serve/ ./pkg/linalg/kernel/ ./pkg/verdictstore/ \
 		| tee /dev/stderr \
 		| $(GO) run ./tools/benchjson -out BENCH_$(REV).json
 

@@ -13,6 +13,11 @@
 // scans every segment, truncates a torn tail at the last intact frame,
 // and resumes the sequence number after the last durable record.
 //
+// Query verifies the length and CRC-32 of every frame it scans but
+// JSON-decodes only candidate frames: under a Device or Model filter, a
+// frame whose payload lacks that value's encoded bytes cannot match and
+// is skipped undecoded. Recovery decodes only each frame's Seq and Time.
+//
 // Appends are group-committed: Append frames the record into an
 // in-memory pending group and returns; a background flusher drains the
 // whole group with one write syscall and fsyncs
@@ -42,6 +47,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Record is one served verdict. Seq is store-assigned and strictly
@@ -259,7 +265,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// recoverSegment scans one segment file, truncating any torn tail.
+// recoverSegment scans one segment file, truncating any torn tail. A
+// frame is decoded only as far as the segment metadata needs (Seq and
+// Time); json.Unmarshal still checks the whole payload's syntax, so a
+// frame that is not JSON ends the segment as before.
 func (s *Store) recoverSegment(path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -267,20 +276,21 @@ func (s *Store) recoverSegment(path string) (*segment, error) {
 	}
 	defer f.Close()
 	seg := &segment{path: path}
-	br := bufio.NewReader(f)
-	var offset, good int64
+	fr := frameReader{br: bufio.NewReader(f)}
+	var good int64
 	for {
-		rec, n, err := readFrame(br)
-		if err == io.EOF {
-			break
+		var meta struct {
+			Seq  uint64    `json:"seq"`
+			Time time.Time `json:"time"`
 		}
+		n, err := fr.readFrame(&meta)
 		if err != nil {
-			// Torn tail: keep the intact prefix, drop the rest.
+			// io.EOF is a clean end; anything else is a torn tail: keep
+			// the intact prefix, drop the rest.
 			break
 		}
-		offset += n
-		good = offset
-		seg.note(rec.Seq, rec.Time.UnixNano())
+		good += n
+		seg.note(meta.Seq, meta.Time.UnixNano())
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -311,33 +321,57 @@ func (g *segment) note(seq uint64, tn int64) {
 	g.records++
 }
 
-// readFrame decodes one length+CRC framed record, returning the bytes
-// consumed. io.EOF means a clean end; any other error marks corruption.
-func readFrame(br *bufio.Reader) (Record, int64, error) {
-	var hdr [frameHdr]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+// frameReader reads the length+CRC framed payloads of a segment file,
+// reusing one payload buffer across frames and, when br is Reset onto
+// the next file, across files.
+type frameReader struct {
+	br  *bufio.Reader
+	hdr [frameHdr]byte // a field, not a local: a local escapes through io.ReadFull once per frame
+	buf []byte
+}
+
+// next reads one frame, checks its length bound and CRC-32, and returns
+// the payload with the bytes the frame consumed. The payload aliases the
+// reader's buffer and is valid until the next call. io.EOF means a clean
+// end; any other error marks corruption.
+func (r *frameReader) next() ([]byte, int64, error) {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		if err == io.EOF {
-			return Record{}, 0, io.EOF
+			return nil, 0, io.EOF
 		}
-		return Record{}, 0, fmt.Errorf("verdictstore: short frame header: %w", err)
+		return nil, 0, fmt.Errorf("verdictstore: short frame header: %w", err)
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if length == 0 || length > maxPayload {
-		return Record{}, 0, fmt.Errorf("verdictstore: implausible frame length %d", length)
+		return nil, 0, fmt.Errorf("verdictstore: implausible frame length %d", length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return Record{}, 0, fmt.Errorf("verdictstore: short frame payload: %w", err)
+	if uint32(cap(r.buf)) < length {
+		r.buf = make([]byte, length)
+	}
+	payload := r.buf[:length]
+	if _, err := io.ReadFull(r.br, payload); err != nil {
+		return nil, 0, fmt.Errorf("verdictstore: short frame payload: %w", err)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, 0, errors.New("verdictstore: frame checksum mismatch")
+		return nil, 0, errors.New("verdictstore: frame checksum mismatch")
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, 0, fmt.Errorf("verdictstore: frame payload: %w", err)
+	return payload, frameHdr + int64(length), nil
+}
+
+// readFrame reads one frame and decodes its payload into v, returning
+// the bytes consumed. Errors are those of next, plus a payload that does
+// not decode into v.
+func (r *frameReader) readFrame(v any) (int64, error) {
+	payload, n, err := r.next()
+	if err != nil {
+		return 0, err
 	}
-	return rec, frameHdr + int64(length), nil
+	if err := json.Unmarshal(payload, v); err != nil {
+		return 0, fmt.Errorf("verdictstore: frame payload: %w", err)
+	}
+	return n, nil
 }
 
 // Append stamps and persists one record, returning its sequence number.
@@ -539,7 +573,9 @@ func (s *Store) drain(fsync bool) {
 }
 
 // Query returns the records matching f in sequence order. It observes
-// every Append that returned before the call, flushed or not.
+// every Append that returned before the call, flushed or not. Every frame
+// it scans has its length and checksum verified, but only frames that
+// contain f's needles (see Filter.needles) are decoded.
 func (s *Store) Query(f Filter) ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,6 +587,8 @@ func (s *Store) Query(f Filter) ([]Record, error) {
 	if err := s.commitLocked(); err != nil {
 		return nil, err
 	}
+	needles := f.needles()
+	fr := frameReader{br: bufio.NewReader(nil)}
 	var out []Record
 	for _, seg := range s.segs {
 		if seg.records == 0 || seg.lastSeq < f.SinceSeq {
@@ -566,15 +604,26 @@ func (s *Store) Query(f Filter) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verdictstore: %w", err)
 		}
-		br := bufio.NewReader(rf)
+		fr.br.Reset(rf)
+	frames:
 		for {
-			rec, _, err := readFrame(br)
+			payload, _, err := fr.next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				rf.Close()
 				return nil, err
+			}
+			for _, nd := range needles {
+				if !bytes.Contains(payload, nd) {
+					continue frames
+				}
+			}
+			var rec Record
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				rf.Close()
+				return nil, fmt.Errorf("verdictstore: frame payload: %w", err)
 			}
 			if !f.matches(rec) {
 				continue
@@ -588,6 +637,28 @@ func (s *Store) Query(f Filter) ([]Record, error) {
 		rf.Close()
 	}
 	return out, nil
+}
+
+// needles returns, for each exact-match string of f, the bytes Append's
+// encoder writes for a record holding that value: the quoted key, a
+// colon, and json.Marshal of the value, which escapes strings exactly as
+// the default json.Encoder does (HTML escaping on). The quotes delimit
+// the value, so "dev-1" never matches "dev-10". A frame lacking a needle
+// cannot match f and Query skips it undecoded; a frame holding them all
+// is decoded and f.matches decides, so a needle found elsewhere in the
+// payload costs a decode, never a wrong answer. A value containing U+FFFD
+// gets no needle: a record written with invalid UTF-8 decodes to U+FFFD
+// but is stored as the escape \ufffd, which the needle would not contain.
+func (f Filter) needles() [][]byte {
+	var out [][]byte
+	for _, kv := range [...][2]string{{"device", f.Device}, {"model", f.Model}} {
+		if kv[1] == "" || strings.ContainsRune(kv[1], utf8.RuneError) {
+			continue
+		}
+		val, _ := json.Marshal(kv[1]) // a string always marshals
+		out = append(out, append([]byte(`"`+kv[0]+`":`), val...))
+	}
+	return out
 }
 
 func (f Filter) matches(rec Record) bool {

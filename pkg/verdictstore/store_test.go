@@ -1,9 +1,13 @@
 package verdictstore
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -511,5 +515,181 @@ func TestGroupCommitReadsObservePending(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestQueryCandidateFilterMatchesFullScan: Query skips frames that lack
+// the filter's device/model needles without decoding them, so its result
+// must equal brute-force Filter.matches over a full scan — element for
+// element, in order — for names built to trip a byte-level pre-filter.
+func TestQueryCandidateFilterMatchesFullScan(t *testing.T) {
+	s, err := Open(t.TempDir(), Config{SegmentBytes: 2048, MaxSegments: 1000})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+
+	devices := []string{
+		"", "dev-1", "dev-10", "dev-1\"", `q"uote`, `back\slash`, "<a&b>",
+		"line\u2028sep", "bad\xffutf8", "bad\uFFFDutf8", "ünï",
+	}
+	models := []string{"m", "<m>", `"device":"dev-1"`, `m\`, "m\u2028", "inv\xc3"}
+	rng := rand.New(rand.NewSource(1))
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	const n = 600
+	for i := 0; i < n; i++ {
+		rec := Record{
+			Time:     base.Add(time.Duration(i) * time.Second),
+			Device:   devices[rng.Intn(len(devices))],
+			Model:    models[rng.Intn(len(models))],
+			Version:  1,
+			Decision: "benign",
+			Entropy:  rng.Float64(),
+			Votes:    []float64{0.5, 0.5},
+		}
+		if i%7 == 0 {
+			rec.Decision = "reject"
+			rec.Features = []float64{float64(i), -1}
+		}
+		mustAppend(t, s, rec)
+	}
+	if st := s.Stats(); st.Segments < 3 {
+		t.Fatalf("want several rotated segments, got %d", st.Segments)
+	}
+	all, err := s.Query(Filter{})
+	if err != nil || len(all) != n {
+		t.Fatalf("full scan: %d records, %v", len(all), err)
+	}
+
+	// Filter values: every stored name, plus names that only decode-equal
+	// a stored one (U+FFFD), absent names and prefixes of stored names.
+	fdevs := append(append([]string(nil), devices...), "dev-2", "dev-", "bad\uFFFD", "\uFFFD")
+	fmodels := append(append([]string(nil), models...), "", "", "", `"device":`, "inv\uFFFD")
+	at := func() time.Time {
+		if rng.Intn(2) == 0 {
+			return time.Time{}
+		}
+		return base.Add(time.Duration(rng.Intn(n+20)-10) * time.Second)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		f := Filter{
+			Device: fdevs[rng.Intn(len(fdevs))],
+			Model:  fmodels[rng.Intn(len(fmodels))],
+			Since:  at(),
+			Until:  at(),
+		}
+		if rng.Intn(2) == 0 {
+			f.SinceSeq = uint64(rng.Intn(n + 10))
+		}
+		if rng.Intn(2) == 0 {
+			f.Limit = 1 + rng.Intn(30)
+		}
+		var want []Record
+		for _, rec := range all {
+			if f.matches(rec) && (f.Limit == 0 || len(want) < f.Limit) {
+				want = append(want, rec)
+			}
+		}
+		got, err := s.Query(f)
+		if err != nil {
+			t.Fatalf("Query(%+v): %v", f, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Query(%+v): %d records, full scan %d", f, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("Query(%+v)[%d] = %+v, full scan %+v", f, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestQueryChecksSkippedFrames: a frame the device pre-filter skips is
+// still checksum-verified — corruption in another device's record fails
+// the read instead of passing unnoticed.
+func TestQueryChecksSkippedFrames(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{SegmentBytes: 512, MaxSegments: 64})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	for i := 0; i < 20; i++ {
+		dev := "A"
+		if i >= 10 {
+			dev = "B"
+		}
+		mustAppend(t, s, Record{Device: dev, Model: "m", Version: 1, Decision: "benign"})
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if recs, err := s.Query(Filter{Device: "B"}); err != nil || len(recs) != 10 {
+		t.Fatalf("before corruption: %d records, %v", len(recs), err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "verdicts-*.seg"))
+	sort.Strings(segs)
+	if len(segs) < 2 {
+		t.Fatalf("want a sealed segment, got %d segments", len(segs))
+	}
+	data, err := os.ReadFile(segs[0]) // sealed; its first frame is device A's
+	if err != nil {
+		t.Fatalf("read segment: %v", err)
+	}
+	data[frameHdr+4] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatalf("rewrite segment: %v", err)
+	}
+	_, err = s.Query(Filter{Device: "B"})
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("Query over a corrupt skipped frame: err = %v, want checksum mismatch", err)
+	}
+}
+
+// BenchmarkQueryDevice is the GET /v1/verdicts?device=…&limit=100 read on
+// a store shaped like a loaded fleet node's: 64 devices appending in runs
+// of 64 records, 16k records, and a device whose 100 records lie ~8k
+// frames in, so the read scans about half the store.
+func BenchmarkQueryDevice(b *testing.B) {
+	s, err := Open(b.TempDir(), Config{})
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	const devices, run, records = 64, 64, 16384
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	votes := []float64{0.6, 0.1, 0.1, 0.1, 0.1}
+	features := make([]float64, 17)
+	for i := 0; i < records; i++ {
+		rec := Record{
+			Time:          base.Add(time.Duration(i) * time.Millisecond),
+			Device:        fmt.Sprintf("dev-%d", (i/run)%devices),
+			Model:         "default",
+			Version:       1,
+			Source:        "batch",
+			Decision:      "benign",
+			Entropy:       0.42,
+			Votes:         votes,
+			LatencyMicros: 120,
+		}
+		if i%10 == 0 {
+			rec.Decision = "reject"
+			rec.Features = features
+		}
+		if _, err := s.Append(rec); err != nil {
+			b.Fatalf("Append: %v", err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		b.Fatalf("Sync: %v", err)
+	}
+	f := Filter{Device: fmt.Sprintf("dev-%d", devices-1), Limit: 100}
+	b.ReportAllocs()
+	for b.Loop() {
+		recs, err := s.Query(f)
+		if err != nil || len(recs) != f.Limit {
+			b.Fatalf("Query: %d records, %v", len(recs), err)
+		}
 	}
 }
