@@ -104,7 +104,7 @@ retrain-e2e:
 admission-e2e:
 	$(GO) test -race -count=1 -v -run 'TestAdmissionE2E' ./cmd/trusthmdd/
 	$(GO) test -race -count=1 \
-		-run 'TestInflightCapSheds|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestStatsInflightField|TestLifecycleRacesInflightRequests|TestSwapUnderLoadIsLossless|TestReplicaGroupSwapUnderLoadLossless|TestAssessCoalescedMatchesSequential' ./pkg/serve/
+		-run 'TestInflightCapSheds|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestStatsInflightField|TestLifecycleRacesInflightRequests|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessConcurrentMatchesSequential' ./pkg/serve/
 
 # cluster-e2e is the fleet smoke: boot a three-node cluster over loopback
 # HTTP, drive bursty load through every entry point while a fleet-wide

@@ -258,6 +258,27 @@ func BenchmarkPipelineAssess(b *testing.B) {
 	}
 }
 
+// BenchmarkAssessInto is BenchmarkPipelineAssess through a reused
+// workspace — the single-vector path /v1/assess and ingest run, which
+// TestAllocsAssessInto pins at 0 allocs/op.
+func BenchmarkAssessInto(b *testing.B) {
+	b.ReportAllocs()
+	s := dvfsBenchData(b)
+	d, err := detector.New(s.Train,
+		detector.WithModel("rf"), detector.WithEnsembleSize(25), detector.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := s.Test.At(0).Features
+	var sc detector.BatchScratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.AssessInto(&sc, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // assessBenchSetup trains the paper's 25-member RF detector and returns it
 // with a 1000-sample test batch (the acceptance workload for the batched
 // assessment path).

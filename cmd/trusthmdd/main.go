@@ -358,7 +358,7 @@ func statStamps(specs modelFlags) map[string]fileStamp {
 // decode is genuinely bad content, not a torn read: the watcher logs it
 // and advances the stamp — the serving shard keeps answering, and the
 // next rewrite (a newer stamp) is picked up normally. Installs go through
-// LoadOrSwapCause, so a shard unloaded over the admin API is reinstated
+// LoadOrSwap, so a shard unloaded over the admin API is reinstated
 // by the next save — the file on disk is the source of truth for
 // command-line shards.
 func watchShards(ctx context.Context, fleet *serve.Fleet, specs modelFlags, interval time.Duration,
@@ -391,7 +391,7 @@ func watchShards(ctx context.Context, fleet *serve.Fleet, specs modelFlags, inte
 				fmt.Fprintf(os.Stderr, "trusthmdd: watch: reload %s: %v (keeping serving shard)\n", s.name, err)
 				continue
 			}
-			v, _, err := fleet.LoadOrSwapCause(s.name, det, "watch")
+			v, _, err := fleet.LoadOrSwap(s.name, det, "watch")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "trusthmdd: watch: swap %s: %v\n", s.name, err)
 				continue

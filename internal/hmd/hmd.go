@@ -55,19 +55,15 @@ type Config struct {
 }
 
 // Pipeline is a trained trusted HMD. Its inference methods are safe for
-// concurrent use: a fitted pipeline is immutable (the scratch pool is
-// internally synchronised).
+// concurrent use: a fitted pipeline is immutable and holds no scratch of
+// its own. The *Into and *Scratch methods write into caller-owned buffers,
+// so a caller that reuses them assesses without allocating.
 type Pipeline struct {
 	cfg    Config
 	scaler *dataset.Scaler
 	pca    *reduce.PCA
 	ens    *ensemble.Bagging
 	est    core.Estimator
-
-	// scratch recycles single-sample assessment buffers across calls, so
-	// the steady-state Assess path allocates only its result's VoteDist.
-	// Never serialized; decoded and truncated pipelines start empty pools.
-	scratch sync.Pool
 
 	// entropy2 memoises the binary vote entropy: with M members and two
 	// classes there are only M+1 possible histograms, so the hot
@@ -100,47 +96,6 @@ func (p *Pipeline) entropyTable() []float64 {
 		p.entropy2 = tab
 	})
 	return p.entropy2
-}
-
-// assessScratch is one pooled set of single-sample buffers.
-type assessScratch struct {
-	scaled  []float64
-	reduced []float64
-	input   []float64
-	counts  []int
-}
-
-func (p *Pipeline) getScratch() *assessScratch {
-	if s, ok := p.scratch.Get().(*assessScratch); ok {
-		return s
-	}
-	return &assessScratch{
-		scaled:  make([]float64, p.scaler.Dim()),
-		reduced: make([]float64, p.ProjectedDim()),
-		input:   make([]float64, p.MemberScratchDim()),
-		counts:  make([]int, p.Classes()),
-	}
-}
-
-// AssessPooled assesses one raw vector through pooled projection and vote
-// buffers: prediction, entropy and vote distribution are bit-identical to
-// Assess, and the only steady-state allocation is the returned VoteDist.
-func (p *Pipeline) AssessPooled(x []float64) (Assessment, error) {
-	s := p.getScratch()
-	defer p.scratch.Put(s)
-	z, err := p.ProjectInto(s.scaled, s.reduced, x)
-	if err != nil {
-		return Assessment{}, err
-	}
-	return p.AssessProjectedInto(z, s.input, make([]float64, p.Classes()), s.counts)
-}
-
-// AssessProjectedPooled is AssessPooled for an already-projected vector —
-// the streaming memo path, which skips projection entirely.
-func (p *Pipeline) AssessProjectedPooled(z []float64) (Assessment, error) {
-	s := p.getScratch()
-	defer p.scratch.Put(s)
-	return p.AssessProjectedInto(z, s.input, make([]float64, p.Classes()), s.counts)
 }
 
 // Assessment is the trusted HMD's per-input output: the raw prediction,
@@ -221,24 +176,6 @@ func (p *Pipeline) Project(x []float64) ([]float64, error) {
 	return z, nil
 }
 
-// ProjectBatch applies scaling and PCA to a whole matrix of raw feature
-// vectors (one sample per row) with matrix-level operations — once per
-// batch instead of once per vector. Row i of the result is numerically
-// identical to Project of row i of X.
-func (p *Pipeline) ProjectBatch(X *linalg.Matrix) (*linalg.Matrix, error) {
-	Z, err := p.scaler.Transform(X)
-	if err != nil {
-		return nil, err
-	}
-	if p.pca != nil {
-		Z, err = p.pca.Transform(Z)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return Z, nil
-}
-
 // Classes returns the width of the vote histogram the estimator builds —
 // the counts/dist buffer size the scratch assessment paths require.
 func (p *Pipeline) Classes() int {
@@ -281,31 +218,13 @@ func (p *Pipeline) ProjectInto(scaled, reduced, x []float64) ([]float64, error) 
 	return reduced, nil
 }
 
-// ProjectBatchScratch projects a whole batch through scaling and PCA with
-// zero steady-state allocations: work holds the raw samples (one per row)
-// and is overwritten with the scaled representation; reduced is resized to
-// receive the PCA projection when that stage exists. The returned matrix
-// aliases one of the two scratches. Row i is bit-identical to Project of
-// row i.
-func (p *Pipeline) ProjectBatchScratch(work, reduced *linalg.Matrix) (*linalg.Matrix, error) {
-	if err := p.scaler.TransformInto(work, work); err != nil {
-		return nil, err
-	}
-	if p.pca == nil {
-		return work, nil
-	}
-	reduced.ResizeUnset(work.Rows(), p.pca.K()) // MulInto writes every cell
-	if err := p.pca.TransformInto(reduced, work); err != nil {
-		return nil, err
-	}
-	return reduced, nil
-}
-
-// ProjectRowsScratch is ProjectBatchScratch fed directly from raw sample
-// rows: scaling reads each row once and writes the standardised values
-// straight into work, skipping the separate batch-load copy. Row i of the
-// result is bit-identical to Project of rows[i]. Rows must all have
-// InputDim features.
+// ProjectRowsScratch projects a whole batch of raw sample rows through
+// scaling and PCA as matrix operations, once per batch instead of once per
+// vector, with zero steady-state allocations: work is resized to receive
+// the scaled rows and reduced the PCA projection when that stage exists.
+// The returned matrix aliases one of the two scratches. Row i is
+// bit-identical to Project of rows[i]; every row must have InputDim
+// features.
 func (p *Pipeline) ProjectRowsScratch(rows [][]float64, work, reduced *linalg.Matrix) (*linalg.Matrix, error) {
 	work.ResizeUnset(len(rows), p.scaler.Dim()) // TransformRowsInto writes every cell
 	if err := p.scaler.TransformRowsInto(work, rows); err != nil {

@@ -11,6 +11,7 @@ import (
 	"trusthmd/internal/ml/linear"
 	"trusthmd/internal/ml/tree"
 	"trusthmd/pkg/dataset"
+	"trusthmd/pkg/linalg"
 )
 
 func dvfsSplits(t *testing.T) gen.Splits {
@@ -108,7 +109,11 @@ func TestProjectBatchMatchesProject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Z, err := p.ProjectBatch(s.Test.X())
+		rows := make([][]float64, s.Test.Len())
+		for i := range rows {
+			rows[i] = s.Test.At(i).Features
+		}
+		Z, err := p.ProjectRowsScratch(rows, linalg.New(0, 0), linalg.New(0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

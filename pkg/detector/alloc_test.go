@@ -7,13 +7,13 @@ import (
 )
 
 // The zero-allocation contract of the inference hot path (README
-// "Performance"): steady-state batched assessment through a reused
-// BatchScratch performs no heap allocations at all, single-sample Assess
-// allocates only its result's VoteDist, and the streaming window costs
-// nothing between assessment boundaries. CI runs these under
-// `-run TestAllocs -count=1` (the make benchcmp job), so a regression
-// that re-introduces garbage into the hot path fails the build even when
-// it is too small to trip the ns/op gate.
+// "Performance"): steady-state assessment through a reused BatchScratch
+// (AssessInto, AssessBatchInto) performs no heap allocations at all,
+// single-sample Assess allocates only its result's VoteDist copy, and the
+// streaming window costs nothing between assessment boundaries. CI runs
+// these under `-run TestAllocs -count=1` (the make benchcmp job), so a
+// regression that re-introduces garbage into the hot path fails the build
+// even when it is too small to trip the ns/op gate.
 
 // allocDetector trains the paper's RF detector pinned to one worker: the
 // goroutine fan-out of the parallel member partition is the one part of
@@ -54,9 +54,27 @@ func TestAllocsAssessBatchInto(t *testing.T) {
 	}
 }
 
+// TestAllocsAssessInto pins the /v1/assess path: one vector through a
+// reused workspace allocates nothing, result included.
+func TestAllocsAssessInto(t *testing.T) {
+	d, X := allocDetector(t)
+	var sc BatchScratch
+	if _, err := d.AssessInto(&sc, X[0]); err != nil { // warm the scratch
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := d.AssessInto(&sc, X[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state AssessInto allocates %.1f times per sample, want 0", allocs)
+	}
+}
+
 func TestAllocsAssess(t *testing.T) {
 	d, X := allocDetector(t)
-	if _, err := d.Assess(X[0]); err != nil { // warm the pipeline pool
+	if _, err := d.Assess(X[0]); err != nil { // warm the scratch pool
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {

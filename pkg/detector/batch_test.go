@@ -3,6 +3,7 @@ package detector
 import (
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,12 @@ import (
 	"trusthmd/internal/gen"
 )
 
+// TestAssessBatchGoldenEqualsSequential pins the element-wise identity of
+// every assessment entry point: AssessInto, AssessBatch, AssessBatchInto
+// and AssessDataset each reproduce Assess on prediction, entropy,
+// decision, every vote-distribution entry and the decomposition. One
+// scratch serves the single-vector loop and then the batch, so a workspace
+// regrown between input shapes is covered too.
 func TestAssessBatchGoldenEqualsSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -18,6 +25,7 @@ func TestAssessBatchGoldenEqualsSequential(t *testing.T) {
 		{"rf", []Option{WithModel("rf")}},
 		{"rf-pca", []Option{WithModel("rf"), WithPCA(6)}},
 		{"lr-decompose", []Option{WithModel("lr"), WithMaxFeatures(0.45), WithDecomposition(true)}},
+		{"knn-subset", []Option{WithModel("knn"), WithMaxFeatures(0.5)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := dvfsSplits(t)
@@ -29,61 +37,80 @@ func TestAssessBatchGoldenEqualsSequential(t *testing.T) {
 			for i := range X {
 				X[i] = s.Test.At(i).Features
 			}
+			want := make([]Result, len(X))
+			into := make([]Result, len(X))
+			var sc BatchScratch
+			for i, x := range X {
+				if want[i], err = d.Assess(x); err != nil {
+					t.Fatal(err)
+				}
+				r, err := d.AssessInto(&sc, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.VoteDist = slices.Clone(r.VoteDist) // scratch-owned until the next call
+				into[i] = r
+			}
 			batch, err := d.AssessBatch(X)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(batch) != len(X) {
-				t.Fatalf("batch returned %d results for %d inputs", len(batch), len(X))
+			batchInto, err := d.AssessBatchInto(&sc, X)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, x := range X {
-				seq, err := d.Assess(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b := batch[i]
-				if b.Prediction != seq.Prediction || b.Entropy != seq.Entropy || b.Decision != seq.Decision {
-					t.Fatalf("sample %d: batch %+v != sequential %+v", i, b, seq)
-				}
-				for j := range seq.VoteDist {
-					if b.VoteDist[j] != seq.VoteDist[j] {
-						t.Fatalf("sample %d: vote dist diverged at class %d", i, j)
-					}
-				}
-				if (b.Decomposition == nil) != (seq.Decomposition == nil) {
-					t.Fatalf("sample %d: decomposition presence diverged", i)
-				}
-				if b.Decomposition != nil && *b.Decomposition != *seq.Decomposition {
-					t.Fatalf("sample %d: decomposition diverged", i)
-				}
+			fromDataset, err := d.AssessDataset(s.Test)
+			if err != nil {
+				t.Fatal(err)
 			}
+			requireSameResults(t, "AssessInto", into, want)
+			requireSameResults(t, "AssessBatch", batch, want)
+			requireSameResults(t, "AssessBatchInto", batchInto, want)
+			requireSameResults(t, "AssessDataset", fromDataset, want)
 		})
 	}
 }
 
+// requireSameResults fails unless got matches want element-wise on every
+// Result field.
+func requireSameResults(t *testing.T, path string, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s returned %d results for %d inputs", path, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Prediction != w.Prediction || g.Entropy != w.Entropy || g.Decision != w.Decision {
+			t.Fatalf("%s sample %d: %+v != Assess %+v", path, i, g, w)
+		}
+		if !slices.Equal(g.VoteDist, w.VoteDist) {
+			t.Fatalf("%s sample %d: vote dist %v != Assess %v", path, i, g.VoteDist, w.VoteDist)
+		}
+		if (g.Decomposition == nil) != (w.Decomposition == nil) {
+			t.Fatalf("%s sample %d: decomposition presence diverged", path, i)
+		}
+		if g.Decomposition != nil && *g.Decomposition != *w.Decomposition {
+			t.Fatalf("%s sample %d: decomposition %+v != Assess %+v", path, i, *g.Decomposition, *w.Decomposition)
+		}
+	}
+}
+
+// TestAssessDatasetMatchesAssessBatch pins the result helpers and the
+// empty-input errors of the batch entry points; their verdicts are
+// checked element-wise in TestAssessBatchGoldenEqualsSequential.
 func TestAssessDatasetMatchesAssessBatch(t *testing.T) {
 	d, s := trainRF(t)
 	rs, err := d.AssessDataset(s.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	X := make([][]float64, s.Test.Len())
-	for i := range X {
-		X[i] = s.Test.At(i).Features
-	}
-	rb, err := d.AssessBatch(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if rs[i].Prediction != rb[i].Prediction || rs[i].Entropy != rb[i].Entropy {
-			t.Fatalf("sample %d diverged between AssessDataset and AssessBatch", i)
-		}
-	}
-	if len(Predictions(rs)) != len(rs) || len(Entropies(rs)) != len(rs) {
+	if len(rs) != s.Test.Len() || len(Predictions(rs)) != len(rs) || len(Entropies(rs)) != len(rs) {
 		t.Fatal("helper length mismatch")
 	}
 	if _, err := d.AssessBatch(nil); err == nil {
+		t.Fatal("expected empty batch error")
+	}
+	if _, err := d.AssessBatchInto(&BatchScratch{}, nil); err == nil {
 		t.Fatal("expected empty batch error")
 	}
 	if _, err := d.AssessDataset(nil); err == nil {

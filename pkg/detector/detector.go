@@ -24,15 +24,12 @@ package detector
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/hmd"
 	"trusthmd/internal/ml/linear"
 	"trusthmd/pkg/dataset"
-	"trusthmd/pkg/linalg"
 )
 
 // Decision is a trusted-HMD verdict: accept the prediction as Benign or
@@ -236,22 +233,18 @@ func (d *Detector) WithOptions(opts ...Option) (*Detector, error) {
 	return &Detector{cfg: cfg, pipe: d.pipe}, nil
 }
 
-// Assess runs the trusted path on one raw feature vector. Projection and
-// vote buffers come from a per-pipeline scratch pool, so the steady state
-// allocates only the result's VoteDist.
+// Assess runs the trusted path on one raw feature vector: AssessInto over
+// a pooled workspace, with the VoteDist copied out so the result is
+// independently owned. That copy is the steady state's only allocation.
 func (d *Detector) Assess(x []float64) (Result, error) {
-	if d.cfg.decompose {
-		z, err := d.pipe.Project(x)
-		if err != nil {
-			return Result{}, fmt.Errorf("detector: %w", err)
-		}
-		return d.assessProjected(z)
-	}
-	a, err := d.pipe.AssessPooled(x)
+	s := batchScratchPool.Get().(*BatchScratch)
+	defer batchScratchPool.Put(s)
+	r, err := d.AssessInto(s, x)
 	if err != nil {
-		return Result{}, fmt.Errorf("detector: %w", err)
+		return Result{}, err
 	}
-	return d.finishResult(a, nil)
+	r.VoteDist = slices.Clone(r.VoteDist)
+	return r, nil
 }
 
 // Predict runs the untrusted path: the plain majority-vote label without
@@ -283,26 +276,9 @@ func (d *Detector) Posterior(x []float64) ([]float64, error) {
 // AssessBatchInto, which drives the same path with zero steady-state
 // allocations.
 func (d *Detector) AssessBatch(X [][]float64) ([]Result, error) {
-	if len(X) == 0 {
-		return nil, errors.New("detector: empty batch")
-	}
 	s := batchScratchPool.Get().(*BatchScratch)
 	defer batchScratchPool.Put(s)
-	return d.assessScratchRows(s, X, true)
-}
-
-// AssessBatchWith is AssessBatch over a caller-owned workspace: projection
-// matrices, transpose and vote histograms live in s and are reused across
-// calls, while the returned results (and their VoteDist slices) are
-// independently allocated and safe to retain. It suits long-lived serving
-// loops — one scratch per worker keeps the hot buffers thread-private and
-// cache-resident without the pool's cross-worker churn. Results are
-// element-wise identical to AssessBatch.
-func (d *Detector) AssessBatchWith(s *BatchScratch, X [][]float64) ([]Result, error) {
-	if len(X) == 0 {
-		return nil, errors.New("detector: empty batch")
-	}
-	return d.assessScratchRows(s, X, true)
+	return d.assessBatch(s, X, true)
 }
 
 // AssessDataset assesses every sample of a dataset through the batched
@@ -311,87 +287,12 @@ func (d *Detector) AssessDataset(ds *dataset.Dataset) ([]Result, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("detector: empty dataset")
 	}
-	s := batchScratchPool.Get().(*BatchScratch)
-	defer batchScratchPool.Put(s)
-	s.loadMatrix(ds.X())
-	return d.assessScratch(s, true)
-}
-
-func (d *Detector) assessMatrix(M *linalg.Matrix) ([]Result, error) {
-	Z, err := d.pipe.ProjectBatch(M)
-	if err != nil {
-		return nil, fmt.Errorf("detector: %w", err)
+	M := ds.X()
+	rows := make([][]float64, M.Rows())
+	for i := range rows {
+		rows[i] = M.Row(i)
 	}
-	n := Z.Rows()
-	out := make([]Result, n)
-	workers := d.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if out[i], err = d.assessProjected(Z.Row(i)); err != nil {
-				return nil, fmt.Errorf("detector: sample %d: %w", i, err)
-			}
-		}
-		return out, nil
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		errs = make([]error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				r, err := d.assessProjected(Z.Row(i))
-				if err != nil {
-					errs[w] = fmt.Errorf("detector: sample %d: %w", i, err)
-					return
-				}
-				out[i] = r
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
-}
-
-// assessProjected builds a full Result from an already-projected vector in
-// one pass over the ensemble's member outputs, through the pooled vote
-// buffers on the non-decomposing path.
-func (d *Detector) assessProjected(z []float64) (Result, error) {
-	var (
-		a   hmd.Assessment
-		dec *Decomposition
-		err error
-	)
-	if d.cfg.decompose {
-		var dc core.Decomposition
-		a, dc, err = d.pipe.AssessDecomposeProjected(z)
-		dec = new(Decomposition)
-		*dec = Decomposition(dc)
-	} else {
-		a, err = d.pipe.AssessProjectedPooled(z)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return d.finishResult(a, dec)
+	return d.AssessBatch(rows)
 }
 
 // finishResult applies the rejection threshold to an assessment.

@@ -41,13 +41,12 @@ type Online struct {
 	lastZ   []float64
 	hasMemo bool
 
-	// projScaled/projReduced are the stream's private projection buffers:
-	// scale+PCA write into them instead of allocating, and lastZ copies the
-	// result, so the steady-state miss path allocates only during feature
-	// extraction and the memo-hit path allocates nothing beyond the
-	// result's VoteDist.
-	projScaled  []float64
-	projReduced []float64
+	// sc is the stream's private assessment workspace: projection, vote
+	// histogram and vote distribution land in it instead of allocating,
+	// and lastZ copies the projection, so the steady-state miss path
+	// allocates only during feature extraction and the memo-hit path
+	// allocates nothing beyond the result's VoteDist copy.
+	sc BatchScratch
 
 	// Stats accumulates decision counts for monitoring dashboards.
 	Stats OnlineStats
@@ -245,29 +244,20 @@ func (o *Online) Push(state int) (res Result, ok bool, err error) {
 	n := copy(o.scratch, o.ring[o.head:])
 	copy(o.scratch[n:], o.ring[:o.head])
 
-	if o.hasMemo && slices.Equal(o.scratch, o.lastWin) {
-		res, err = o.det.assessProjected(o.lastZ)
-		if err != nil {
-			return Result{}, false, err
-		}
-		o.Stats.CacheHits++
-	} else {
+	hit := o.hasMemo && slices.Equal(o.scratch, o.lastWin)
+	if !hit {
 		feats, ferr := feature.DVFSVector(o.scratch, o.levels)
 		if ferr != nil {
 			return Result{}, false, fmt.Errorf("detector: online features: %w", ferr)
 		}
-		if o.projScaled == nil {
-			o.projScaled = make([]float64, o.det.pipe.InputDim())
-			o.projReduced = make([]float64, o.det.pipe.ProjectedDim())
-		}
-		z, perr := o.det.pipe.ProjectInto(o.projScaled, o.projReduced, feats)
+		z, perr := o.det.projectVec(&o.sc, feats)
 		if perr != nil {
-			return Result{}, false, fmt.Errorf("detector: %w", perr)
+			return Result{}, false, perr
 		}
 		// Memoise before assessing: a failed assessment is retried on the
 		// next Push with the same window, and then it hits the cache. The
-		// memo owns its copy — z aliases the projection buffers, which the
-		// next miss overwrites.
+		// memo owns its copy — z aliases the workspace, which the next miss
+		// overwrites.
 		if o.lastWin == nil {
 			o.lastWin = make([]int, len(o.scratch))
 			o.lastZ = make([]float64, len(z))
@@ -275,10 +265,14 @@ func (o *Online) Push(state int) (res Result, ok bool, err error) {
 		copy(o.lastWin, o.scratch)
 		copy(o.lastZ, z)
 		o.hasMemo = true
-		res, err = o.det.assessProjected(z)
-		if err != nil {
-			return Result{}, false, err
-		}
+	}
+	res, err = o.det.assessVec(&o.sc, o.lastZ)
+	if err != nil {
+		return Result{}, false, err
+	}
+	res.VoteDist = slices.Clone(res.VoteDist)
+	if hit {
+		o.Stats.CacheHits++
 	}
 	o.sinceLast = 0
 	o.Stats.Observe(res.Decision)

@@ -4,26 +4,30 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/hmd"
 	"trusthmd/pkg/linalg"
 )
 
-// BatchScratch is the reusable workspace of AssessBatchInto: input copy,
-// projection matrices, vote histograms and the returned results all live
-// in one caller-owned arena that is regrown on demand and never shrunk.
-// A steady-state caller assessing same-sized batches performs zero heap
-// allocations per call.
+// BatchScratch is the reusable workspace of every assessment path:
+// projection matrices, vote histograms, member-subset input and the
+// returned results all live in one caller-owned arena that is regrown on
+// demand and never shrunk. AssessInto uses it for one vector and
+// AssessBatchInto for a batch; a steady-state caller assessing same-sized
+// inputs performs zero heap allocations per call.
 //
 // A BatchScratch may be used by one goroutine at a time, and the results
-// returned by AssessBatchInto (including their VoteDist slices) remain
-// valid only until the scratch's next use. Callers that hand results to
-// other goroutines or retain them across calls must copy them first, or
-// use AssessBatch, which returns independently-owned results.
+// returned by AssessInto and AssessBatchInto (including their VoteDist
+// slices) remain valid only until the scratch's next use. Callers that
+// hand results to other goroutines or retain them across calls must copy
+// them first, or use Assess / AssessBatch, which return
+// independently-owned results.
 type BatchScratch struct {
-	work    *linalg.Matrix // raw input copy, overwritten by scaling
+	work    *linalg.Matrix // scaled input, one row per sample
 	reduced *linalg.Matrix // PCA projection, when that stage exists
 	workT   *linalg.Matrix // transpose of the projected batch, when members want it
 	counts  []int          // row-major n x classes vote histograms
@@ -31,7 +35,6 @@ type BatchScratch struct {
 	input   []float64      // member feature-subset scratch
 	dists   []float64      // VoteDist backing for scratch-owned results
 	results []Result
-	rows    [][]float64 // 1-row view for the single-sample AssessInto path
 
 	// Per-worker private histograms for the parallel member partition;
 	// integer merges keep the parallel accumulation bit-identical.
@@ -41,14 +44,10 @@ type BatchScratch struct {
 	errs       []error
 }
 
-// batchScratchPool recycles scratches behind the plain AssessBatch API.
+// batchScratchPool recycles scratches behind Assess and AssessBatch.
 // Scratches are shape-agnostic (every buffer is resized per call), so one
 // pool serves every detector.
-var batchScratchPool = sync.Pool{
-	New: func() any {
-		return &BatchScratch{work: linalg.New(0, 0), reduced: linalg.New(0, 0)}
-	},
-}
+var batchScratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 
 func (s *BatchScratch) init() {
 	if s.work == nil {
@@ -75,6 +74,66 @@ func growFloats(b []float64, n int) []float64 {
 	return b[:n]
 }
 
+// AssessInto is Assess with caller-owned memory: the projection, vote and
+// result buffers all live in s, so a steady-state caller assessing one
+// sample at a time allocates nothing (see TestAllocsAssessInto). The
+// returned Result (including its VoteDist) is valid only until the
+// scratch's next use. It runs the same scalar member walk as Assess and
+// Online.Push, so results are element-wise identical to both and to the
+// batch paths. The zero BatchScratch is ready to use. Detectors built
+// WithDecomposition allocate: the per-member posterior walk is not
+// scratch-managed.
+func (d *Detector) AssessInto(s *BatchScratch, x []float64) (Result, error) {
+	z, err := d.projectVec(s, x)
+	if err != nil {
+		return Result{}, err
+	}
+	r, err := d.assessVec(s, z)
+	if err != nil {
+		return Result{}, fmt.Errorf("detector: %w", err)
+	}
+	return r, nil
+}
+
+// projectVec scales and PCA-projects one raw vector into the first rows of
+// s's projection matrices. The returned slice aliases s until its next
+// use.
+func (d *Detector) projectVec(s *BatchScratch, x []float64) ([]float64, error) {
+	s.init()
+	s.work.ResizeUnset(1, d.pipe.InputDim())        // ProjectInto writes every cell
+	s.reduced.ResizeUnset(1, d.pipe.ProjectedDim()) // likewise, when PCA is fitted
+	z, err := d.pipe.ProjectInto(s.work.Row(0), s.reduced.Row(0), x)
+	if err != nil {
+		return nil, fmt.Errorf("detector: %w", err)
+	}
+	return z, nil
+}
+
+// assessVec is the single-vector path behind Assess, AssessInto and
+// Online.Push: member votes, vote histogram, entropy and the rejection
+// threshold over one projected vector z, with the histogram, member-subset
+// input and vote distribution in s. The returned VoteDist aliases s until
+// its next use. Decomposing detectors take the allocating posterior walk.
+func (d *Detector) assessVec(s *BatchScratch, z []float64) (Result, error) {
+	if d.cfg.decompose {
+		a, dc, err := d.pipe.AssessDecomposeProjected(z)
+		if err != nil {
+			return Result{}, err
+		}
+		dec := Decomposition(dc)
+		return d.finishResult(a, &dec)
+	}
+	k := d.pipe.Classes()
+	s.counts = growInts(s.counts, k)
+	s.dists = growFloats(s.dists, k)
+	s.input = growFloats(s.input, d.pipe.MemberScratchDim())
+	a, err := d.pipe.AssessProjectedInto(z, s.input, s.dists, s.counts)
+	if err != nil {
+		return Result{}, err
+	}
+	return d.finishResult(a, nil)
+}
+
 // AssessBatchInto is AssessBatch with caller-owned memory: every buffer —
 // including the returned results and their VoteDist slices — lives in s
 // and is reused by the next call, so steady-state batched assessment
@@ -83,107 +142,44 @@ func growFloats(b []float64, n int) []float64 {
 // use. Detectors built WithDecomposition take the allocating path: the
 // per-member posterior walk is not scratch-managed.
 func (d *Detector) AssessBatchInto(s *BatchScratch, X [][]float64) ([]Result, error) {
+	return d.assessBatch(s, X, false)
+}
+
+// assessBatch is the batch path behind AssessBatch, AssessBatchInto and
+// AssessDataset: one matrix projection of the raw rows into s, then the
+// scratch vote tail (assessZ), or the per-row walk (assessRows) for
+// decomposing detectors. With fresh set, the results and their VoteDist
+// backing are independently allocated (they escape to the caller of
+// AssessBatch); otherwise both live in s.
+func (d *Detector) assessBatch(s *BatchScratch, X [][]float64, fresh bool) ([]Result, error) {
 	if len(X) == 0 {
 		return nil, errors.New("detector: empty batch")
-	}
-	return d.assessScratchRows(s, X, false)
-}
-
-// AssessInto is Assess with caller-owned memory: the projection, vote and
-// result buffers all live in s, so a steady-state caller assessing one
-// sample at a time allocates nothing. The returned Result (including its
-// VoteDist) is valid only until the scratch's next use. Results are
-// element-wise identical to Assess; member votes accumulate serially, like
-// the pooled single-sample path. Detectors built WithDecomposition fall
-// back to the allocating Assess.
-func (d *Detector) AssessInto(s *BatchScratch, x []float64) (Result, error) {
-	if d.cfg.decompose {
-		return d.Assess(x)
-	}
-	s.init()
-	if cap(s.rows) == 0 {
-		s.rows = make([][]float64, 0, 1)
-	}
-	s.rows = append(s.rows[:0], x)
-	Z, err := d.pipe.ProjectRowsScratch(s.rows, s.work, s.reduced)
-	s.rows[0] = nil // do not pin the caller's vector past the call
-	if err != nil {
-		return Result{}, fmt.Errorf("detector: %w", err)
-	}
-	rs, err := d.assessZ(s, Z, false, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
-// loadRows copies the raw samples into the scratch work matrix, validating
-// that the batch is rectangular. Both AssessBatch entry points share it.
-func (s *BatchScratch) loadRows(X [][]float64) error {
-	s.init()
-	cols := len(X[0])
-	s.work.ResizeUnset(len(X), cols) // every row is copied over below
-	for i, r := range X {
-		if len(r) != cols {
-			return fmt.Errorf("detector: ragged row %d: got %d values, want %d: %w",
-				i, len(r), cols, linalg.ErrShape)
-		}
-		copy(s.work.Row(i), r)
-	}
-	return nil
-}
-
-// loadMatrix copies M into the scratch work matrix.
-func (s *BatchScratch) loadMatrix(M *linalg.Matrix) {
-	s.init()
-	s.work.ResizeUnset(M.Rows(), M.Cols())
-	for i := 0; i < M.Rows(); i++ {
-		copy(s.work.Row(i), M.Row(i))
-	}
-}
-
-// assessScratch runs the zero-allocation batched path over the raw
-// samples already loaded into s.work. With fresh set, the results and
-// their VoteDist backing are independently allocated (they escape to the
-// caller of AssessBatch); otherwise both live in s.
-func (d *Detector) assessScratch(s *BatchScratch, fresh bool) ([]Result, error) {
-	if d.cfg.decompose {
-		// The decomposition walk needs every member's posterior; it stays
-		// on the allocating path.
-		return d.assessMatrix(s.work)
-	}
-	Z, err := d.pipe.ProjectBatchScratch(s.work, s.reduced)
-	if err != nil {
-		return nil, fmt.Errorf("detector: %w", err)
-	}
-	return d.assessZ(s, Z, fresh, 0)
-}
-
-// assessScratchRows is assessScratch fed directly from raw sample rows:
-// the projection reads each row once and writes the scaled batch straight
-// into scratch, skipping the separate input copy the matrix-loaded path
-// pays. Results are identical to loadRows + assessScratch.
-func (d *Detector) assessScratchRows(s *BatchScratch, X [][]float64, fresh bool) ([]Result, error) {
-	if d.cfg.decompose {
-		if err := s.loadRows(X); err != nil {
-			return nil, err
-		}
-		return d.assessMatrix(s.work)
 	}
 	s.init()
 	Z, err := d.pipe.ProjectRowsScratch(X, s.work, s.reduced)
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)
 	}
-	return d.assessZ(s, Z, fresh, 0)
+	if d.cfg.decompose {
+		// The decomposition walk needs every member's posterior; it stays
+		// on the allocating per-row path.
+		return d.assessRows(Z)
+	}
+	return d.assessZ(s, Z, fresh)
 }
 
-// assessZ is the member-vote + summarize tail shared by every batched
-// entry point, running over the already-projected batch Z. maxWorkers,
-// when positive, caps the member-vote parallelism below the detector's
-// configured worker count (the single-sample path forces 1 to match the
-// serial pooled path's cost profile); 0 leaves the configuration alone.
-func (d *Detector) assessZ(s *BatchScratch, Z *linalg.Matrix, fresh bool, maxWorkers int) ([]Result, error) {
+// workers returns the detector's assessment parallelism, capped at limit.
+func (d *Detector) workers(limit int) int {
+	w := d.cfg.workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, limit)
+}
+
+// assessZ is the member-vote + summarize tail of the batch path, running
+// over the already-projected batch Z.
+func (d *Detector) assessZ(s *BatchScratch, Z *linalg.Matrix, fresh bool) ([]Result, error) {
 	n, k := Z.Rows(), d.pipe.Classes()
 	members := d.pipe.Members()
 
@@ -204,28 +200,18 @@ func (d *Detector) assessZ(s *BatchScratch, Z *linalg.Matrix, fresh bool, maxWor
 	}
 
 	s.counts = growInts(s.counts, n*k)
-	clearInts(s.counts)
+	clear(s.counts)
 	s.votes = growInts(s.votes, n)
 	s.input = growFloats(s.input, d.pipe.MemberScratchDim())
 
-	workers := d.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxWorkers > 0 && workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers > members {
-		workers = members
-	}
 	var err error
-	if workers <= 1 {
+	if workers := d.workers(members); workers <= 1 {
 		err = d.pipe.AccumulateVotes(Z, ZT, s.counts, 0, members, s.votes, s.input)
 	} else {
 		err = d.accumulateParallel(s, Z, ZT, workers, members, k)
 	}
 	if err != nil {
-		if !isVoteRange(err) {
+		if !errors.Is(err, hmd.ErrVoteRange) {
 			return nil, fmt.Errorf("detector: %w", err)
 		}
 		// A member voted outside the class histogram: take the allocating
@@ -284,9 +270,7 @@ func (d *Detector) accumulateParallel(s *BatchScratch, Z, ZT *linalg.Matrix, wor
 		s.errs = make([]error, workers)
 	}
 	s.errs = s.errs[:workers]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
+	clear(s.errs)
 	inputDim := d.pipe.MemberScratchDim()
 
 	var wg sync.WaitGroup
@@ -302,7 +286,7 @@ func (d *Detector) accumulateParallel(s *BatchScratch, Z, ZT *linalg.Matrix, wor
 			break
 		}
 		s.partCounts[w] = growInts(s.partCounts[w], n*k)
-		clearInts(s.partCounts[w])
+		clear(s.partCounts[w])
 		s.partVotes[w] = growInts(s.partVotes[w], n)
 		s.partInput[w] = growFloats(s.partInput[w], inputDim)
 		wg.Add(1)
@@ -326,27 +310,45 @@ func (d *Detector) accumulateParallel(s *BatchScratch, Z, ZT *linalg.Matrix, wor
 	return nil
 }
 
-// assessRows is the allocating per-row fallback over an already-projected
-// batch (decomposition-free detectors land here only on the defensive
-// out-of-histogram vote path).
+// assessRows is the allocating per-row path over an already-projected
+// batch: decomposing detectors, and the defensive fallback when a member
+// votes outside the class histogram. Rows fan out over the detector's
+// worker pool, each worker running assessVec in a private workspace, and
+// every result owns its VoteDist.
 func (d *Detector) assessRows(Z *linalg.Matrix) ([]Result, error) {
-	out := make([]Result, Z.Rows())
-	for i := range out {
-		r, err := d.assessProjected(Z.Row(i))
+	n := Z.Rows()
+	out := make([]Result, n)
+	workers := d.workers(n)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+		errs = make([]error, workers)
+	)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s BatchScratch
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				r, err := d.assessVec(&s, Z.Row(i))
+				if err != nil {
+					errs[w] = fmt.Errorf("detector: sample %d: %w", i, err)
+					return
+				}
+				r.VoteDist = slices.Clone(r.VoteDist)
+				out[i] = r
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("detector: sample %d: %w", i, err)
+			return nil, err
 		}
-		out[i] = r
 	}
 	return out, nil
-}
-
-func clearInts(b []int) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-func isVoteRange(err error) bool {
-	return errors.Is(err, hmd.ErrVoteRange)
 }

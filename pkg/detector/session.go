@@ -19,8 +19,8 @@ var ErrSessionClosed = errors.New("detector: session closed")
 //
 // A Session pins the detector it was opened on: swapping the underlying
 // model in a serving fleet never changes the decisions of sessions already
-// in flight (they drain on the old pipeline, exactly like coalesced
-// batches do).
+// in flight (they drain on the old pipeline, exactly like requests that
+// resolved the old version before the swap).
 type Session struct {
 	mu     sync.Mutex
 	online *Online

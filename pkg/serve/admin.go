@@ -112,7 +112,7 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	version, replaced, err := s.fleet.LoadOrSwapCause(req.Name, det, "admin")
+	version, replaced, err := s.fleet.LoadOrSwap(req.Name, det, "admin")
 	if err != nil {
 		// For an upsert the only non-shutdown failures are caller errors
 		// (bad name, nil detector), not missing resources.

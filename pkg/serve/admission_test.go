@@ -334,7 +334,7 @@ func TestLifecycleRacesInflightRequests(t *testing.T) {
 			if _, err := f.Load("m", byVersion(next)); err != nil {
 				t.Fatal(err)
 			}
-		} else if _, err := f.Swap("m", byVersion(next)); err != nil {
+		} else if _, err := f.Swap("m", byVersion(next), "swap"); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -350,12 +350,12 @@ func TestLifecycleRacesInflightRequests(t *testing.T) {
 	t.Logf("%d served, %d answered 404 mid-reload, %d shed after close", ok.Load(), gone.Load(), closed.Load())
 }
 
-// TestReplicaGroupSwapUnderLoadLossless: repeated hot swaps of a shard
+// TestFleetSwapUnderLoadLossless: repeated hot swaps of a shard
 // under sustained concurrent in-process load (Fleet.Assess, no HTTP) must
 // lose zero requests, never move a caller's version backwards, and every
 // response must carry the correct verdict. The HTTP-level single-swap
 // variant is TestSwapUnderLoadIsLossless.
-func TestReplicaGroupSwapUnderLoadLossless(t *testing.T) {
+func TestFleetSwapUnderLoadLossless(t *testing.T) {
 	d, X := testDetector(t)
 	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{CacheSize: -1})
 	if err != nil {
@@ -406,7 +406,7 @@ func TestReplicaGroupSwapUnderLoadLossless(t *testing.T) {
 		var v uint64
 		for i := 0; i < 3; i++ {
 			time.Sleep(2 * time.Millisecond)
-			nv, err := f.Swap("m", d)
+			nv, err := f.Swap("m", d, "swap")
 			if err != nil {
 				t.Errorf("swap %d: %v", i, err)
 				break

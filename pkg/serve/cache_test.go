@@ -78,8 +78,8 @@ func TestHashVecDiscriminates(t *testing.T) {
 
 // TestServeCacheHitsAreIdentical is the cross-request caching e2e: the
 // same vectors served twice over HTTP must answer bit-identically, /stats
-// must show the second pass as pure cache hits, and the coalescer must see
-// no additional batches. When TRUSTHMD_SERVE_STATS_OUT is set (the CI
+// must show the second pass as pure cache hits, and the detector must see
+// no additional calls (the batches counter stays put). When TRUSTHMD_SERVE_STATS_OUT is set (the CI
 // bench job does this), the final /stats snapshot is written there as a
 // build artifact.
 func TestServeCacheHitsAreIdentical(t *testing.T) {
@@ -179,7 +179,7 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 }
 
 // TestServeCacheDisabled pins the opt-out: with CacheSize < 0 every
-// repeat request goes through the coalescer and the cache counters stay
+// repeat request reaches the detector and the cache counters stay
 // untouched — a disabled cache reports no activity at all, rather than a
 // 100% miss rate for a cache that does not exist.
 func TestServeCacheDisabled(t *testing.T) {

@@ -89,11 +89,11 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
-// TestAssessCoalescedMatchesSequential is the acceptance test of the
+// TestAssessConcurrentMatchesSequential is the acceptance test of the
 // serving layer: N concurrent /v1/assess requests must return decisions
 // element-wise identical to direct sequential Assess, each request
 // counted once, one detector call apiece.
-func TestAssessCoalescedMatchesSequential(t *testing.T) {
+func TestAssessConcurrentMatchesSequential(t *testing.T) {
 	d, X := testDetector(t)
 	s, ts := newTestServer(t, Config{CacheSize: -1})
 

@@ -640,7 +640,7 @@ func TestStreamPinsShardAcrossMidStreamSwap(t *testing.T) {
 	}
 
 	// Swap while the stream is OPEN, then push the second half.
-	if _, err := s.Fleet().Swap("dvfs-rf", strict); err != nil {
+	if _, err := s.Fleet().Swap("dvfs-rf", strict, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	send(states[32:])
@@ -706,7 +706,7 @@ func TestStreamSessionPinsVersion(t *testing.T) {
 	}
 
 	// Swap, then stream again: the new session reports v2.
-	if _, err := s.Fleet().Swap("dvfs-rf", d); err != nil {
+	if _, err := s.Fleet().Swap("dvfs-rf", d, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	_, got, summary, errLine = streamNDJSON(t, ts.URL,
